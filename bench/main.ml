@@ -237,14 +237,6 @@ let pastry_route_bench =
      let dest = Id.random rng in
      ignore (Pastry.route w.World.pastry ~from:0 ~dest))
 
-let secure_table_bench =
-  Test.make ~name:"overlay:secure-table-build"
-    (Staged.stage @@ fun () ->
-     let rng = Prng.of_seed 9L in
-     let sorted = Array.init 500 (fun i -> (Id.random rng, i)) in
-     Array.sort (fun (a, _) (b, _) -> Id.compare a b) sorted;
-     ignore (Concilium_overlay.Routing_table.build_secure ~owner:(fst sorted.(250)) ~sorted))
-
 let sha256_bench =
   Test.make ~name:"crypto:sha256-1KiB"
     (Staged.stage @@ fun () -> ignore (Concilium_crypto.Sha256.digest (String.make 1024 'x')))
@@ -362,7 +354,6 @@ let benchmark () =
       pool_fanout_bench;
       pool_fanout_inline_bench;
       pastry_route_bench;
-      secure_table_bench;
       sha256_bench;
       chord_route_bench;
       chord_route_reference_bench;

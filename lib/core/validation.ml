@@ -2,7 +2,6 @@ module Id = Concilium_overlay.Id
 module Leaf_set = Concilium_overlay.Leaf_set
 module Density_test = Concilium_overlay.Density_test
 module Freshness = Concilium_overlay.Freshness
-module Routing_table = Concilium_overlay.Routing_table
 module Snapshot = Concilium_tomography.Snapshot
 module Signed = Concilium_crypto.Signed
 module Pki = Concilium_crypto.Pki
@@ -69,7 +68,7 @@ let pp_failure fmt = function
   | Sparse_jump_table { local; advertised } ->
       Format.fprintf fmt "jump table too sparse (advertised %d vs local %d of %d slots)"
         advertised local
-        (Routing_table.rows * Routing_table.columns)
+        (Id.digits * Id.base)
   | Sparse_leaf_set { local_spacing; advertised_spacing } ->
       Format.fprintf fmt "leaf set too sparse (spacing %.3g vs local %.3g)" advertised_spacing
         local_spacing

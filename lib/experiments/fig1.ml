@@ -1,5 +1,5 @@
+module Id = Concilium_overlay.Id
 module Jump_table_model = Concilium_overlay.Jump_table_model
-module Routing_table = Concilium_overlay.Routing_table
 module Poisson_binomial = Concilium_stats.Poisson_binomial
 module Descriptive = Concilium_stats.Descriptive
 module Prng = Concilium_util.Prng
@@ -17,7 +17,7 @@ let default_sizes = [| 128; 256; 512; 1024; 2048; 4096; 8192; 16384; 32768; 6553
 
 let run ?pool ~seed ~sizes ~trials () =
   let rng = Prng.of_seed seed in
-  let slots = float_of_int (Routing_table.rows * Routing_table.columns) in
+  let slots = float_of_int (Id.digits * Id.base) in
   let size_count = Array.length sizes in
   (* One independent stream per (size, trial), split before dispatch so each
      Monte Carlo overlay is identical for any domain count; flattening the

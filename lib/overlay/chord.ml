@@ -21,7 +21,6 @@ type t = {
   jump_nodes : int array array;
   jump_dists : Id.t array array;
 }
-type style = Secure | Standard of Prng.t
 
 let finger_count = 128
 
@@ -32,7 +31,7 @@ let successor_position sorted key =
   let position = Sorted.lower_bound compare_fst sorted (key, 0) in
   if position >= Array.length sorted then 0 else position
 
-let build ?(successor_count = 8) ?(style = Secure) ids =
+let build ?(successor_count = 8) ids =
   let n = Array.length ids in
   if n < 2 then invalid_arg "Chord.build: need at least two nodes";
   let sorted = Array.mapi (fun index id -> (id, index)) ids in
@@ -59,35 +58,15 @@ let build ?(successor_count = 8) ?(style = Secure) ids =
               let upper =
                 if k = finger_count - 1 then id else Id.add_power_of_two id (k + 1)
               in
-              match style with
-              | Secure ->
-                  (* The unique first node clockwise of the target, kept
-                     only if it falls inside the finger's own interval
-                     (otherwise the interval is empty). *)
-                  let candidate = entry_at (successor_position sorted target) in
-                  if
-                    (not (Id.equal candidate.peer id))
-                    && Id.in_clockwise_interval candidate.peer ~lo:target ~hi:upper
-                  then Some candidate
-                  else None
-              | Standard rng ->
-                  (* Any node inside the interval qualifies. *)
-                  let lo = successor_position sorted target in
-                  let in_interval position =
-                    let id_at = fst sorted.(position mod n) in
-                    Id.in_clockwise_interval id_at ~lo:target ~hi:upper
-                  in
-                  let rec count_qualifying k =
-                    if k >= n then k
-                    else if in_interval (lo + k) then count_qualifying (k + 1)
-                    else k
-                  in
-                  let qualifying = count_qualifying 0 in
-                  if qualifying = 0 then None
-                  else begin
-                    let candidate = entry_at (lo + Prng.int rng qualifying) in
-                    if Id.equal candidate.peer id then None else Some candidate
-                  end)
+              (* The unique first node clockwise of the target, kept only if
+                 it falls inside the finger's own interval (otherwise the
+                 interval is empty). *)
+              let candidate = entry_at (successor_position sorted target) in
+              if
+                (not (Id.equal candidate.peer id))
+                && Id.in_clockwise_interval candidate.peer ~lo:target ~hi:upper
+              then Some candidate
+              else None)
         in
         { index; id; successors; fingers })
       ids

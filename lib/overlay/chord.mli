@@ -2,12 +2,9 @@
     overlay, with the Concilium density test generalised to finger tables.
 
     Each node keeps a successor list (the leaf-set analogue) and 128
-    fingers; finger k targets the point id + 2^k. In the [Secure] variant a
-    finger must be the *first* node clockwise of its target — the unique,
-    verifiable choice analogous to Castro's constrained tables. The
-    [Standard] variant may pick any node in the finger's interval
-    [id + 2^k, id + 2^(k+1)), modelling proximity-driven freedom an
-    adversary can exploit.
+    fingers; finger k targets the point id + 2^k and must be the *first*
+    node clockwise of it — the unique, verifiable choice analogous to
+    Castro's constrained tables.
 
     The occupancy measure for the density test is the number of non-empty
     finger intervals: interval k contains another node with probability
@@ -28,13 +25,11 @@ type node = {
 
 type t
 
-type style = Secure | Standard of Concilium_util.Prng.t
-
 val finger_count : int
 (** 128. *)
 
-val build : ?successor_count:int -> ?style:style -> Id.t array -> t
-(** Default 8 successors, [Secure] fingers. Duplicate ids rejected. *)
+val build : ?successor_count:int -> Id.t array -> t
+(** Default 8 successors. Duplicate ids rejected. *)
 
 val node_count : t -> int
 val node : t -> int -> node

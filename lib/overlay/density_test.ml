@@ -9,7 +9,7 @@ let check ~gamma ~local_occupancy ~peer_occupancy =
 
 type rates = { false_positive : float; false_negative : float }
 
-let slot_count = Routing_table.rows * Routing_table.columns
+let slot_count = Id.digits * Id.base
 
 let false_positive_rate ~gamma ~local ~peer =
   if gamma < 1. then invalid_arg "Density_test.false_positive_rate: gamma must be >= 1";

@@ -1,12 +1,11 @@
 (* Incrementally maintained constrained ("secure") routing tables over a
    ring universe.
 
-   [Routing_table.build_secure] recomputes all l*v slots of one owner from
-   the full sorted membership — 1.6 ms per table at 500 nodes, and under
-   churn every member's table goes stale at once, so the rebuild model costs
-   O(n * l * v) work per membership event. This module maintains the same
-   tables for *every* universe position at once and applies single-node
-   deltas on join/leave.
+   Building one owner's table from the full sorted membership costs
+   O(l * v * log n), and under churn every member's table goes stale at
+   once, so a rebuild model costs O(n * l * v) work per membership event.
+   This module maintains the tables for *every* universe position at once
+   and applies single-node deltas on join/leave.
 
    Two observations make the deltas exact and cheap:
 
@@ -17,7 +16,7 @@
      linear distance, so "closest to p" is a 1-D Voronoi choice between p's
      sorted alive neighbours: for adjacent candidates x < y, p prefers x
      exactly when p <= floor((x + y) / 2) — which also encodes the
-     smaller-id tie-break of [Routing_table.closest_in_range].
+     smaller-id tie-break.
 
    - When node [d] joins or leaves, only two kinds of slots change: the
      own-digit slots of positions between d's surviving alive neighbours

@@ -1,13 +1,13 @@
 (** Incrementally maintained constrained ("secure") routing tables over a
-    {!Ring} universe — the million-node replacement for rebuilding
-    {!Routing_table.build_secure} on every membership change.
+    {!Ring} universe — the one implementation of the secure-slot rule;
+    {!Pastry} reads its jump tables from here.
 
     Semantics: for every universe position [owner] (alive or dead), slot
     [(row, col)] holds the universe position of the alive node closest on
     the ring to the point [with_digit owner_id row col] among alive nodes
-    sharing the point's (row+1)-digit prefix, excluding the owner itself —
-    byte-for-byte the slot contents of [Routing_table.build_secure] over
-    the current alive membership (ties to the smaller id). Join/leave apply
+    sharing the point's (row+1)-digit prefix, excluding the owner itself
+    (ties to the smaller id). A per-owner full-scan oracle of the same rule
+    lives in the test suite and pins this module slot for slot. Join/leave apply
     single-node deltas instead of rebuilds; dead owners keep maintained
     tables so rejoining needs no rebuild. Only the first [rows] rows are
     materialised; deeper rows are computed on demand with identical

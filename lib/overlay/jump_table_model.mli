@@ -13,8 +13,8 @@ val fill_probability : n:int -> row:int -> float
     not underflow. *)
 
 val slot_probabilities : n:int -> float array
-(** Per-slot fill probabilities, length {!Routing_table.rows} *
-    {!Routing_table.columns} (identical within a row). *)
+(** Per-slot fill probabilities, length {!Id.digits} * {!Id.base}
+    (identical within a row). *)
 
 val model : n:int -> Concilium_stats.Poisson_binomial.t
 (** Occupancy-count distribution for an overlay of [n] nodes. *)
@@ -29,5 +29,5 @@ val expected_routing_entries : n:int -> leaf_set_size:int -> float
 val monte_carlo_occupancy :
   rng:Concilium_util.Prng.t -> n:int -> trials:int -> float array
 (** Sampled occupancy *fractions* from [trials] independent overlays: each
-    trial draws N random identifiers, builds one node's secure table, and
-    counts filled slots. Used to validate the analytic model (Figure 1). *)
+    trial draws N random identifiers, picks one as the owner, and counts
+    the secure-table slots whose prefix range holds another node. Used to validate the analytic model (Figure 1). *)

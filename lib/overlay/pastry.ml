@@ -1,19 +1,22 @@
-module Sorted = Concilium_util.Sorted
-module Prng = Concilium_util.Prng
+module Bitset = Concilium_util.Bitset
 
-type node = {
-  index : int;
-  id : Id.t;
-  leaf_set : Leaf_set.t;
-  table : Routing_table.t;
+type node = { index : int; id : Id.t; leaf_set : Leaf_set.t }
+
+(* Node indices follow the caller's id array; the ring and its secure
+   tables are indexed by sorted position. The two permutations translate. *)
+type t = {
+  nodes : node array;
+  ring : Ring.t;
+  table : Inc_table.t;
+  index_of_position : int array;
+  position_of_index : int array;
+  occupancy : int array;
+  leaf_half : int;
 }
-
-type t = { nodes : node array; sorted : (Id.t * int) array; leaf_half : int }
-type table_style = Secure | Standard of Prng.t
 
 let compare_fst (a, _) (b, _) = Id.compare a b
 
-let build ?(leaf_half_size = 8) ?(style = Secure) ids =
+let build ?(leaf_half_size = 8) ids =
   let n = Array.length ids in
   if n < 2 then invalid_arg "Pastry.build: need at least two nodes";
   let sorted = Array.mapi (fun index id -> (id, index)) ids in
@@ -23,29 +26,42 @@ let build ?(leaf_half_size = 8) ?(style = Secure) ids =
       invalid_arg "Pastry.build: duplicate identifier"
   done;
   let sorted_ids = Array.map fst sorted in
+  let index_of_position = Array.map snd sorted in
+  let position_of_index = Array.make n 0 in
+  Array.iteri (fun position index -> position_of_index.(index) <- position) index_of_position;
+  let ring = Ring.of_sorted_ids sorted_ids in
+  (* Every row is materialised: the fallback and [routing_peers] read them all. *)
+  let table = Inc_table.build ~rows:Id.digits ring in
   let nodes =
     Array.mapi
       (fun index id ->
-        let leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:leaf_half_size in
-        let table =
-          match style with
-          | Secure -> Routing_table.build_secure ~owner:id ~sorted
-          | Standard rng -> Routing_table.build_standard ~owner:id ~sorted ~rng
-        in
-        { index; id; leaf_set; table })
+        { index; id; leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:leaf_half_size })
       ids
   in
-  { nodes; sorted; leaf_half = leaf_half_size }
+  let occupancy =
+    Array.map
+      (fun owner ->
+        let filled = ref 0 in
+        for row = 0 to Id.digits - 1 do
+          for col = 0 to Id.base - 1 do
+            if Inc_table.entry table ~owner ~row ~col >= 0 then incr filled
+          done
+        done;
+        !filled)
+      position_of_index
+  in
+  { nodes; ring; table; index_of_position; position_of_index; occupancy; leaf_half = leaf_half_size }
 
 let node_count t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let leaf_half_size t = t.leaf_half
+let occupancy t v = t.occupancy.(v)
 
-let index_of_id t id =
-  let position = Sorted.lower_bound compare_fst t.sorted (id, 0) in
-  if position < Array.length t.sorted && Id.equal (fst t.sorted.(position)) id then
-    Some (snd t.sorted.(position))
-  else None
+let slot t v ~row ~col =
+  let e = Inc_table.entry t.table ~owner:t.position_of_index.(v) ~row ~col in
+  if e < 0 then None else Some t.index_of_position.(e)
+
+let index_of_id t id = Option.map (fun p -> t.index_of_position.(p)) (Ring.position_of_id t.ring id)
 
 let index_of_id_exn t id =
   match index_of_id t id with
@@ -53,23 +69,22 @@ let index_of_id_exn t id =
   | None -> invalid_arg "Pastry: unknown identifier"
 
 let numerically_closest t key =
-  let n = Array.length t.sorted in
-  let position = Sorted.lower_bound compare_fst t.sorted (key, 0) in
+  let n = Ring.size t.ring in
+  let position = Ring.insertion_point t.ring key in
   let best = ref None in
   let consider raw =
-    let index = ((raw mod n) + n) mod n in
-    let id, node_index = t.sorted.(index) in
-    let d = Id.ring_distance id key in
+    let p = ((raw mod n) + n) mod n in
+    let d = Id.ring_distance (Ring.id t.ring p) key in
     match !best with
     | Some (_, best_d) when Id.compare d best_d >= 0 -> ()
-    | _ -> best := Some (node_index, d)
+    | _ -> best := Some (p, d)
   in
   consider position;
   consider (position - 1);
   consider (position + 1);
-  (* [t.sorted] is non-empty (create rejects empty rings), so at least one
+  (* The ring has at least two members (build rejects smaller ones), so a
      candidate was considered.  lint: allow assert-false *)
-  match !best with Some (i, _) -> i | None -> assert false
+  match !best with Some (p, _) -> t.index_of_position.(p) | None -> assert false
 
 let next_hop t ~from ~dest =
   let here = t.nodes.(from) in
@@ -79,17 +94,19 @@ let next_hop t ~from ~dest =
     if Id.equal closest here.id then None else Some (index_of_id_exn t closest)
   end
   else begin
-    match Routing_table.next_hop here.table ~dest with
-    | Some entry -> Some entry.Routing_table.node
+    let row = Id.shared_prefix_length here.id dest in
+    match slot t from ~row ~col:(Id.digit dest row) with
+    | Some next -> Some next
     | None ->
         (* Rare fallback: any known peer that is strictly closer to the key
-           and shares at least as long a prefix (standard Pastry rule). *)
-        let here_shared = Id.shared_prefix_length here.id dest in
+           and shares at least as long a prefix (standard Pastry rule).
+           Leaf members are considered first, then slots row-major; the
+           first strictly-best candidate wins ties. *)
         let here_distance = Id.ring_distance here.id dest in
         let best = ref None in
         let consider id =
           if (not (Id.equal id here.id))
-             && Id.shared_prefix_length id dest >= here_shared
+             && Id.shared_prefix_length id dest >= row
              && Id.compare (Id.ring_distance id dest) here_distance < 0
           then begin
             let d = Id.ring_distance id dest in
@@ -99,10 +116,13 @@ let next_hop t ~from ~dest =
           end
         in
         List.iter consider (Leaf_set.members here.leaf_set);
-        Routing_table.iter
-          (fun ~row:_ ~col:_ entry ->
-            match entry with Some e -> consider e.Routing_table.peer | None -> ())
-          here.table;
+        let owner = t.position_of_index.(from) in
+        for r = 0 to Id.digits - 1 do
+          for c = 0 to Id.base - 1 do
+            let e = Inc_table.entry t.table ~owner ~row:r ~col:c in
+            if e >= 0 then consider (Ring.id t.ring e)
+          done
+        done;
         Option.map (fun (id, _) -> index_of_id_exn t id) !best
   end
 
@@ -119,18 +139,18 @@ let route t ~from ~dest =
   loop from [] limit
 
 let routing_peers t index =
-  let here = t.nodes.(index) in
-  let seen = Concilium_util.Bitset.create (Array.length t.nodes) in
-  let add node_index = if node_index <> index then Concilium_util.Bitset.add seen node_index in
-  Routing_table.iter
-    (fun ~row:_ ~col:_ entry ->
-      match entry with Some e -> add e.Routing_table.node | None -> ())
-    here.table;
-  List.iter (fun id -> add (index_of_id_exn t id)) (Leaf_set.members here.leaf_set);
-  let out = Array.make (Concilium_util.Bitset.cardinal seen) 0 in
+  let seen = Bitset.create (Array.length t.nodes) in
+  let add node_index = if node_index <> index then Bitset.add seen node_index in
+  for row = 0 to Id.digits - 1 do
+    for col = 0 to Id.base - 1 do
+      Option.iter add (slot t index ~row ~col)
+    done
+  done;
+  List.iter (fun id -> add (index_of_id_exn t id)) (Leaf_set.members t.nodes.(index).leaf_set);
+  let out = Array.make (Bitset.cardinal seen) 0 in
   let k = ref 0 in
   (* Bitset iteration is ascending: the output arrives sorted. *)
-  Concilium_util.Bitset.iter
+  Bitset.iter
     (fun peer ->
       out.(!k) <- peer;
       incr k)
@@ -143,217 +163,3 @@ let mean_routing_peer_count t =
     total := !total + Array.length (routing_peers t i)
   done;
   float_of_int !total /. float_of_int (node_count t)
-
-(* ---------- Dynamic membership ---------- *)
-
-let refresh_leaf_sets_near t nodes sorted ~ring_position =
-  (* Only nodes within a leaf-set radius of the touched ring position can
-     see their membership change; rebuild theirs from the new ring. *)
-  let n = Array.length sorted in
-  let sorted_ids = Array.map fst sorted in
-  let radius = t.leaf_half + 1 in
-  for offset = -radius to radius do
-    let index = (((ring_position + offset) mod n) + n) mod n in
-    let _, node_index = sorted.(index) in
-    let node = nodes.(node_index) in
-    nodes.(node_index) <-
-      {
-        node with
-        leaf_set = Leaf_set.build ~owner:node.id ~sorted_ids ~half_size:t.leaf_half;
-      }
-  done
-
-let add_node t id =
-  if index_of_id t id <> None then invalid_arg "Pastry.add_node: duplicate identifier";
-  let n = node_count t in
-  let sorted = Array.make (n + 1) (id, n) in
-  Array.blit t.sorted 0 sorted 0 n;
-  Array.sort compare_fst sorted;
-  let sorted_ids = Array.map fst sorted in
-  (* The newcomer builds its own full state. *)
-  let newcomer =
-    {
-      index = n;
-      id;
-      leaf_set = Leaf_set.build ~owner:id ~sorted_ids ~half_size:t.leaf_half;
-      table = Routing_table.build_secure ~owner:id ~sorted;
-    }
-  in
-  (* Copy node records and tables so the original overlay stays intact. *)
-  let nodes =
-    Array.append
-      (Array.map (fun node -> { node with table = Routing_table.copy node.table }) t.nodes)
-      [| newcomer |]
-  in
-  (* Each existing node checks every constrained slot the newcomer
-     qualifies for: in each row up to the shared prefix length, the column
-     of the newcomer's digit there (the owner's own digit for rows below
-     the first differing one). *)
-  for v = 0 to n - 1 do
-    let node = nodes.(v) in
-    let shared = Id.shared_prefix_length node.id id in
-    for row = 0 to min shared (Routing_table.rows - 1) do
-      let col = Id.digit id row in
-      let point = Id.with_digit node.id row col in
-      let replace =
-        match Routing_table.get node.table ~row ~col with
-        | None -> true
-        | Some current ->
-            let challenger = Id.ring_distance id point in
-            let incumbent = Id.ring_distance current.Routing_table.peer point in
-            let c = Id.compare challenger incumbent in
-            c < 0 || (c = 0 && Id.compare id current.Routing_table.peer < 0)
-      in
-      if replace then
-        Routing_table.set node.table ~row ~col (Some { Routing_table.peer = id; node = n })
-    done
-  done;
-  let updated = { t with nodes; sorted } in
-  let ring_position = Sorted.lower_bound compare_fst sorted (id, 0) in
-  refresh_leaf_sets_near updated nodes sorted ~ring_position;
-  updated
-
-let remove_node t id =
-  let departed =
-    match index_of_id t id with
-    | Some index -> index
-    | None -> invalid_arg "Pastry.remove_node: unknown identifier"
-  in
-  let n = node_count t in
-  if n <= 2 then invalid_arg "Pastry.remove_node: overlay would collapse";
-  (* Surviving nodes keep their relative order; indices above shift down. *)
-  let remap v = if v < departed then v else v - 1 in
-  let survivors =
-    Array.of_list
-      (List.filteri (fun v _ -> v <> departed) (Array.to_list t.nodes))
-  in
-  let sorted =
-    Array.of_list
-      (List.filter_map
-         (fun (node_id, v) -> if v = departed then None else Some (node_id, remap v))
-         (Array.to_list t.sorted))
-  in
-  let sorted_ids = Array.map fst sorted in
-  let nodes =
-    Array.map
-      (fun node ->
-        let table = Routing_table.create_empty ~owner:node.id in
-        (* Copy entries, re-resolving any slot that referenced the departed
-           node against the surviving ring. *)
-        Routing_table.iter
-          (fun ~row ~col entry ->
-            match entry with
-            | None -> ()
-            | Some e when Id.equal e.Routing_table.peer id ->
-                let point = Id.with_digit node.id row col in
-                let lo =
-                  let rec fill p i =
-                    if i >= Id.digits then p else fill (Id.with_digit p i 0) (i + 1)
-                  in
-                  fill point (row + 1)
-                in
-                let hi =
-                  let rec fill p i =
-                    if i >= Id.digits then p else fill (Id.with_digit p i (Id.base - 1)) (i + 1)
-                  in
-                  fill point (row + 1)
-                in
-                let lo_pos = Sorted.lower_bound compare_fst sorted (lo, 0) in
-                let hi_pos = Sorted.upper_bound compare_fst sorted (hi, 0) in
-                let best = ref None in
-                for position = lo_pos to hi_pos - 1 do
-                  let candidate_id, candidate_index = sorted.(position) in
-                  if not (Id.equal candidate_id node.id) then begin
-                    let d = Id.ring_distance candidate_id point in
-                    match !best with
-                    | Some (_, _, best_d)
-                      when Id.compare d best_d > 0
-                           || (Id.compare d best_d = 0
-                              &&
-                              match !best with
-                              | Some (b_id, _, _) -> Id.compare candidate_id b_id >= 0
-                              | None -> false) ->
-                        ()
-                    | _ -> best := Some (candidate_id, candidate_index, d)
-                  end
-                done;
-                Routing_table.set table ~row ~col
-                  (Option.map
-                     (fun (peer, node_index, _) -> { Routing_table.peer; node = node_index })
-                     !best)
-            | Some e ->
-                Routing_table.set table ~row ~col
-                  (Some { e with Routing_table.node = remap e.Routing_table.node }))
-          node.table;
-        {
-          index = remap node.index;
-          id = node.id;
-          leaf_set = node.leaf_set;
-          table;
-        })
-      survivors
-  in
-  let updated = { t with nodes; sorted } in
-  (* Leaf sets around the vacated ring position must be rebuilt. *)
-  let ring_position = Sorted.lower_bound compare_fst sorted (id, 0) in
-  let m = Array.length sorted in
-  let sorted_ids = sorted_ids in
-  let radius = t.leaf_half + 1 in
-  for offset = -radius to radius do
-    let index = (((ring_position + offset) mod m) + m) mod m in
-    let _, node_index = sorted.(index) in
-    let node = nodes.(node_index) in
-    nodes.(node_index) <-
-      {
-        node with
-        leaf_set = Leaf_set.build ~owner:node.id ~sorted_ids ~half_size:t.leaf_half;
-      }
-  done;
-  updated
-
-(* ---------- Sanctioned routing ---------- *)
-
-let route_avoiding t ~from ~dest ~avoid =
-  let root = numerically_closest t dest in
-  let limit = (4 * Id.digits) + (8 * t.leaf_half) in
-  let next_allowed current =
-    let here = t.nodes.(current) in
-    let here_distance = Id.ring_distance here.id dest in
-    (* Best known peer strictly closer to the key and not avoided; prefer
-       longer shared prefixes, then smaller ring distance (standard Pastry
-       progress metric, restricted to the allowed set). *)
-    let best = ref None in
-    let consider id =
-      match index_of_id t id with
-      | None -> ()
-      | Some index ->
-          if (not (Id.equal id here.id)) && (index = root || not (avoid index)) then begin
-            let d = Id.ring_distance id dest in
-            if Id.compare d here_distance < 0 then begin
-              let shared = Id.shared_prefix_length id dest in
-              match !best with
-              | Some (_, best_shared, best_d)
-                when best_shared > shared
-                     || (best_shared = shared && Id.compare best_d d <= 0) ->
-                  ()
-              | _ -> best := Some (index, shared, d)
-            end
-          end
-    in
-    List.iter consider (Leaf_set.members here.leaf_set);
-    Routing_table.iter
-      (fun ~row:_ ~col:_ entry ->
-        match entry with Some e -> consider e.Routing_table.peer | None -> ())
-      here.table;
-    Option.map (fun (index, _, _) -> index) !best
-  in
-  let rec loop current acc remaining =
-    if current = root then Some (List.rev (current :: acc))
-    else if remaining = 0 then None
-    else begin
-      match next_allowed current with
-      | None -> None
-      | Some next -> loop next (current :: acc) (remaining - 1)
-    end
-  in
-  loop from [] limit

@@ -1,31 +1,33 @@
 (** A whole Pastry overlay, constructed from global knowledge (as a
     simulator may) but routed using only per-node local state.
 
-    Each node holds a leaf set and a jump table; [`Secure] tables obey the
-    Castro constraint (see {!Routing_table.build_secure}), [`Standard]
-    tables model proximity-style free choice. Message forwarding follows
-    the Pastry rule: finish within the leaf set when possible, otherwise
-    jump by prefix, otherwise fall back to any known strictly-closer peer. *)
+    Each node holds a leaf set and a secure jump table. The tables are the
+    Castro-constrained ones of {!Inc_table}, read through a permutation
+    between node indices and sorted ring positions. Message forwarding
+    follows the Pastry rule: finish within the leaf set when possible,
+    otherwise jump by prefix, otherwise fall back to any known
+    strictly-closer peer. *)
 
-type node = {
-  index : int;
-  id : Id.t;
-  leaf_set : Leaf_set.t;
-  table : Routing_table.t;
-}
+type node = { index : int; id : Id.t; leaf_set : Leaf_set.t }
 
 type t
 
-type table_style = Secure | Standard of Concilium_util.Prng.t
-
-val build : ?leaf_half_size:int -> ?style:table_style -> Id.t array -> t
+val build : ?leaf_half_size:int -> Id.t array -> t
 (** Build an overlay over the given identifiers (default [leaf_half_size] 8
-    — a 16-member leaf set — and [Secure] tables). Duplicate identifiers are
-    rejected. *)
+    — a 16-member leaf set). Node [i] has identifier [ids.(i)]. Duplicate
+    identifiers are rejected. *)
 
 val node_count : t -> int
 val node : t -> int -> node
 val leaf_half_size : t -> int
+
+val slot : t -> int -> row:int -> col:int -> int option
+(** [slot t v ~row ~col]: node index held by slot (row, col) of node [v]'s
+    secure jump table — the live node closest to [with_digit v.id row col]
+    among those with that point's (row+1)-digit prefix, [v] excluded. *)
+
+val occupancy : t -> int -> int
+(** Number of filled slots in a node's jump table (precomputed). *)
 
 val index_of_id : t -> Id.t -> int option
 val numerically_closest : t -> Id.t -> int
@@ -33,7 +35,8 @@ val numerically_closest : t -> Id.t -> int
     key — the key's root. *)
 
 val next_hop : t -> from:int -> dest:Id.t -> int option
-(** [None] when [from] is already the destination's root. *)
+(** [None] when [from] is already the destination's root. The fallback
+    considers leaf members first, then slots row-major. *)
 
 val route : t -> from:int -> dest:Id.t -> int list
 (** Node indices visited, starting with [from] and ending at the root of
@@ -45,29 +48,3 @@ val routing_peers : t -> int -> int array
     the leaves of its tomography tree T_H. *)
 
 val mean_routing_peer_count : t -> float
-
-val add_node : t -> Id.t -> t
-(** Overlay maintenance: admit a newly certified identifier. The join is
-    incremental — the newcomer builds its own state, ring neighbors refresh
-    their leaf sets, and each existing node updates the single constrained
-    table slot the newcomer can qualify for — but the result is exactly the
-    overlay {!build} would produce from scratch over the enlarged
-    membership (property-tested). The new node takes the next index.
-    @raise Invalid_argument on a duplicate identifier. *)
-
-val remove_node : t -> Id.t -> t
-(** Overlay maintenance: a member departs. Ring neighbors refresh their
-    leaf sets and every table slot that referenced the departed node is
-    re-resolved against the surviving membership; again equal to a fresh
-    {!build}. Node indices above the departed one shift down by one.
-    @raise Invalid_argument if the identifier is not a member or only two
-    members remain. *)
-
-val route_avoiding : t -> from:int -> dest:Id.t -> avoid:(int -> bool) -> int list option
-(** Sanctioned routing (paper Section 3.7: traffic "may simply avoid
-    certain overlay paths"): like {!route} but never forwards *through* a
-    node satisfying [avoid]; at each hop the best non-avoided known peer
-    making progress is chosen instead. [None] when every forwarding choice
-    is avoided. The key's root is still allowed to terminate the route —
-    refusing delivery to the owner would break DHT consistency (the
-    leaf-set-eviction rule of Section 3.7). *)

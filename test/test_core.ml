@@ -7,7 +7,6 @@ module Dht = Concilium_core.Dht
 module Stewardship = Concilium_core.Stewardship
 module Bandwidth = Concilium_core.Bandwidth
 module Validation = Concilium_core.Validation
-module Sanction = Concilium_core.Sanction
 module World = Concilium_core.World
 module Observation = Concilium_tomography.Observation
 module Snapshot = Concilium_tomography.Snapshot
@@ -561,24 +560,6 @@ let test_validation_flags_stale_stamp () =
        (function Validation.Stale_or_invalid_stamp _ -> true | _ -> false)
        failures)
 
-(* ---------- Sanction ---------- *)
-
-let test_sanction_policies () =
-  let clean = { Sanction.verified_accusations = 0; observation_hours = 10. } in
-  let dirty = { Sanction.verified_accusations = 25; observation_hours = 10. } in
-  check Alcotest.bool "clean untouched" true
-    (Sanction.evaluate Sanction.Distrust_sensitive clean = Sanction.No_action);
-  check Alcotest.bool "distrust" true
-    (Sanction.evaluate Sanction.Distrust_sensitive dirty = Sanction.Distrust);
-  check Alcotest.bool "blacklist above rate" true
-    (Sanction.evaluate (Sanction.Universal_blacklist { accusations_per_hour = 2. }) dirty
-    = Sanction.Blacklist);
-  check Alcotest.bool "below rate" true
-    (Sanction.evaluate (Sanction.Universal_blacklist { accusations_per_hour = 3. }) dirty
-    = Sanction.No_action);
-  check Alcotest.bool "leaf-set eviction forbidden" false
-    (Sanction.allows_leaf_set_eviction Sanction.Distrust_sensitive)
-
 (* ---------- World ---------- *)
 
 let world_fixture = lazy (World.build (World.tiny_config ~seed:123L))
@@ -635,37 +616,40 @@ let test_world_forest_includes_own_tree () =
     (fun link -> check Alcotest.bool "own tree in forest" true (Array.exists (( = ) link) forest))
     (World.Tree.physical_links world.World.trees.(0))
 
+(* Every node's secure jump table in a built world — all 32 rows — its
+   occupancy and its routing peers agree with the full-scan oracle. *)
+let assert_world_tables_match_oracle config =
+  let world = World.build config in
+  let pastry = world.World.pastry in
+  let n = World.node_count world in
+  let sorted = Array.init n (fun v -> (World.id_of world v, v)) in
+  Array.sort (fun (a, _) (b, _) -> Id.compare a b) sorted;
+  for v = 0 to n - 1 do
+    let oracle = Table_oracle.build_secure ~owner:(World.id_of world v) ~sorted in
+    let peers = ref [] in
+    for row = 0 to Id.digits - 1 do
+      for col = 0 to Id.base - 1 do
+        let expect = Option.map (fun e -> e.Table_oracle.node) (Table_oracle.get oracle ~row ~col) in
+        Option.iter (fun p -> peers := p :: !peers) expect;
+        check (Alcotest.option Alcotest.int)
+          (Printf.sprintf "node %d slot (%d, %d)" v row col)
+          expect (Pastry.slot pastry v ~row ~col)
+      done
+    done;
+    check Alcotest.int (Printf.sprintf "node %d occupancy" v) (Table_oracle.occupancy oracle)
+      (Pastry.occupancy pastry v);
+    List.iter
+      (fun id -> Option.iter (fun p -> peers := p :: !peers) (Pastry.index_of_id pastry id))
+      (Leaf_set.members (Pastry.node pastry v).Pastry.leaf_set);
+    let expect_peers = List.sort_uniq Int.compare (List.filter (( <> ) v) !peers) in
+    check (Alcotest.array Alcotest.int)
+      (Printf.sprintf "node %d routing peers" v)
+      (Array.of_list expect_peers) (Pastry.routing_peers pastry v)
+  done
 
-(* ---------- Ack batching (Section 3.7) ---------- *)
-
-module Ack_batch = Concilium_core.Ack_batch
-
-let test_ack_batch_counter () =
-  let batch = Ack_batch.create () in
-  List.iter (fun id -> Ack_batch.record_received batch ~message_id:id) [ "a"; "b"; "b" ];
-  check Alcotest.int "dedup" 2 (Ack_batch.received_count batch);
-  let summary = Ack_batch.flush batch ~encoding:`Counter in
-  check Alcotest.int "counter bytes" (128 + 4) (Ack_batch.wire_bytes summary);
-  (* All sent arrived: the counter can certify it. *)
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "counter matches" (Some []) (Ack_batch.missing ~sent:[ "a"; "b" ] summary);
-  (* A counter mismatch proves loss but cannot name the victim. *)
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "counter cannot localise" None
-    (Ack_batch.missing ~sent:[ "a"; "b"; "c" ] summary);
-  check Alcotest.int "flushed" 0 (Ack_batch.received_count batch)
-
-let test_ack_batch_hashes () =
-  let batch = Ack_batch.create () in
-  List.iter (fun id -> Ack_batch.record_received batch ~message_id:id) [ "a"; "c" ];
-  let summary = Ack_batch.flush batch ~encoding:`Hashes in
-  check
-    (Alcotest.option (Alcotest.list Alcotest.string))
-    "hashes localise the loss" (Some [ "b" ])
-    (Ack_batch.missing ~sent:[ "a"; "b"; "c" ] summary);
-  check Alcotest.int "hash bytes" (128 + 64) (Ack_batch.wire_bytes summary)
+let test_world_tables_match_oracle () =
+  assert_world_tables_match_oracle (World.tiny_config ~seed:123L);
+  assert_world_tables_match_oracle (World.small_config ~seed:7L)
 
 
 (* ---------- Rebuttal (Section 3.5) ---------- *)
@@ -858,7 +842,6 @@ let suites =
         Alcotest.test_case "flags sparse jump table" `Quick test_validation_flags_sparse_table;
         Alcotest.test_case "flags stale stamps" `Quick test_validation_flags_stale_stamp;
       ] );
-    ("core.sanction", [ Alcotest.test_case "policies" `Quick test_sanction_policies ]);
     ( "core.rebuttal",
       [
         Alcotest.test_case "verified rebuttal shifts blame" `Quick test_rebuttal_shifts_blame;
@@ -869,11 +852,6 @@ let suites =
         Alcotest.test_case "stale verdicts do not cover" `Quick
           test_rebuttal_stale_drop_time_rejected;
       ] );
-    ( "core.ack_batch",
-      [
-        Alcotest.test_case "counter encoding" `Quick test_ack_batch_counter;
-        Alcotest.test_case "hash encoding" `Quick test_ack_batch_hashes;
-      ] );
     ( "core.world",
       [
         Alcotest.test_case "route invariants" `Quick test_world_invariants;
@@ -881,5 +859,6 @@ let suites =
         Alcotest.test_case "voucher index" `Quick test_world_vouchers_are_tree_members;
         Alcotest.test_case "certificates" `Quick test_world_certificates_valid;
         Alcotest.test_case "forest contains own tree" `Quick test_world_forest_includes_own_tree;
+        Alcotest.test_case "secure tables match the oracle" `Quick test_world_tables_match_oracle;
       ] );
   ]

@@ -1,6 +1,5 @@
 module Id = Concilium_overlay.Id
 module Leaf_set = Concilium_overlay.Leaf_set
-module Routing_table = Concilium_overlay.Routing_table
 module Jump_table_model = Concilium_overlay.Jump_table_model
 module Density_test = Concilium_overlay.Density_test
 module Pastry = Concilium_overlay.Pastry
@@ -144,86 +143,67 @@ let test_leaf_set_covers_and_closest () =
   check Alcotest.string "closest to member is member" (Id.to_hex sorted.(31))
     (Id.to_hex (Leaf_set.closest_member ls sorted.(31)))
 
-(* ---------- Routing table ---------- *)
+(* ---------- Secure jump tables ---------- *)
 
-let sorted_with_indices sorted = Array.mapi (fun _ id -> id) sorted |> Array.mapi (fun i id -> (id, i))
+(* Every filled slot of node [v]'s table as (row, col, peer id). *)
+let iter_slots overlay v f =
+  for row = 0 to Id.digits - 1 do
+    for col = 0 to Id.base - 1 do
+      Option.iter
+        (fun peer -> f ~row ~col (Pastry.node overlay peer).Pastry.id)
+        (Pastry.slot overlay v ~row ~col)
+    done
+  done
 
 let test_secure_table_prefix_constraint () =
   let _, sorted = ring_fixture 256 26L in
-  let pairs = sorted_with_indices sorted in
+  let overlay = Pastry.build sorted in
   let owner = sorted.(77) in
-  let table = Routing_table.build_secure ~owner ~sorted:pairs in
-  Routing_table.iter
-    (fun ~row ~col entry ->
-      match entry with
-      | None -> ()
-      | Some { Routing_table.peer; _ } ->
-          check Alcotest.bool "never the owner" false (Id.equal peer owner);
-          check Alcotest.int
-            (Printf.sprintf "row %d prefix" row)
-            row
-            (min row (Id.shared_prefix_length owner peer));
-          check Alcotest.int (Printf.sprintf "row %d col" row) col (Id.digit peer row))
-    table
+  iter_slots overlay 77 (fun ~row ~col peer ->
+      check Alcotest.bool "never the owner" false (Id.equal peer owner);
+      check Alcotest.int
+        (Printf.sprintf "row %d prefix" row)
+        row
+        (min row (Id.shared_prefix_length owner peer));
+      check Alcotest.int (Printf.sprintf "row %d col" row) col (Id.digit peer row))
 
 let test_secure_table_picks_closest_to_point () =
   let _, sorted = ring_fixture 256 27L in
-  let pairs = sorted_with_indices sorted in
+  let overlay = Pastry.build sorted in
   let owner = sorted.(42) in
-  let table = Routing_table.build_secure ~owner ~sorted:pairs in
-  Routing_table.iter
-    (fun ~row ~col entry ->
-      match entry with
-      | None -> ()
-      | Some { Routing_table.peer; _ } ->
-          let point = Id.with_digit owner row col in
-          let peer_distance = Id.ring_distance peer point in
-          (* No other qualifying node may be strictly closer to the point. *)
-          Array.iter
-            (fun other ->
-              if
-                (not (Id.equal other owner))
-                && Id.shared_prefix_length other owner >= row
-                && Id.digit other row = col
-              then
-                check Alcotest.bool "constrained choice is closest" false
-                  (Id.compare (Id.ring_distance other point) peer_distance < 0))
-            sorted)
-    table
-
-let test_standard_table_prefix_constraint () =
-  let _, sorted = ring_fixture 128 28L in
-  let pairs = sorted_with_indices sorted in
-  let owner = sorted.(5) in
-  let rng = Prng.of_seed 1L in
-  let table = Routing_table.build_standard ~owner ~sorted:pairs ~rng in
-  Routing_table.iter
-    (fun ~row ~col entry ->
-      match entry with
-      | None -> ()
-      | Some { Routing_table.peer; _ } ->
-          check Alcotest.bool "prefix" true (Id.shared_prefix_length owner peer >= row);
-          check Alcotest.int "col digit" col (Id.digit peer row))
-    table
+  iter_slots overlay 42 (fun ~row ~col peer ->
+      let point = Id.with_digit owner row col in
+      let peer_distance = Id.ring_distance peer point in
+      (* No other qualifying node may be strictly closer to the point. *)
+      Array.iter
+        (fun other ->
+          if
+            (not (Id.equal other owner))
+            && Id.shared_prefix_length other owner >= row
+            && Id.digit other row = col
+          then
+            check Alcotest.bool "constrained choice is closest" false
+              (Id.compare (Id.ring_distance other point) peer_distance < 0))
+        sorted)
 
 let test_next_hop_improves_prefix () =
   let _, sorted = ring_fixture 128 29L in
-  let pairs = sorted_with_indices sorted in
-  let owner = sorted.(0) in
-  let table = Routing_table.build_secure ~owner ~sorted:pairs in
-  let dest = sorted.(100) in
-  match Routing_table.next_hop table ~dest with
+  let overlay = Pastry.build sorted in
+  let owner = sorted.(0) and dest = sorted.(100) in
+  let row = Id.shared_prefix_length owner dest in
+  match Pastry.slot overlay 0 ~row ~col:(Id.digit dest row) with
   | None -> () (* possible when the needed slot is empty *)
-  | Some { Routing_table.peer; _ } ->
+  | Some peer ->
       check Alcotest.bool "longer shared prefix" true
-        (Id.shared_prefix_length peer dest > Id.shared_prefix_length owner dest)
+        (Id.shared_prefix_length (Pastry.node overlay peer).Pastry.id dest
+        > Id.shared_prefix_length owner dest)
 
 (* ---------- Jump table model ---------- *)
 
 let test_fill_probability_monotone () =
   let n = 10_000 in
   let previous = ref 2. in
-  for row = 0 to Routing_table.rows - 1 do
+  for row = 0 to Id.digits - 1 do
     let p = Jump_table_model.fill_probability ~n ~row in
     check Alcotest.bool "decreasing in row" true (p <= !previous +. 1e-12);
     check Alcotest.bool "probability" true (p >= 0. && p <= 1.);
@@ -249,10 +229,30 @@ let test_model_matches_monte_carlo () =
   let rng = Prng.of_seed 30L in
   let model = Jump_table_model.model ~n in
   let samples = Jump_table_model.monte_carlo_occupancy ~rng ~n ~trials:30 in
-  let slots = float_of_int (Routing_table.rows * Routing_table.columns) in
+  let slots = float_of_int (Id.digits * Id.base) in
   let mc_mean = Descriptive.mean samples in
   let model_mean = model.Poisson_binomial.mu_phi /. slots in
   check (Alcotest.float 0.01) "analytic ~ empirical" model_mean mc_mean
+
+(* The ring-based Monte Carlo count equals the oracle's occupancy on the
+   same draw: ids drawn in index order, then the owner. *)
+let prop_monte_carlo_matches_oracle =
+  QCheck.Test.make ~name:"Monte Carlo occupancy = oracle occupancy on the same draw" ~count:40
+    QCheck.(triple (int_range 2 3000) (int_range 1 3) (int_bound 10_000))
+    (fun (n, trials, seed) ->
+      let got =
+        Jump_table_model.monte_carlo_occupancy ~rng:(Prng.of_seed (Int64.of_int seed)) ~n ~trials
+      in
+      let rng = Prng.of_seed (Int64.of_int seed) in
+      let expect =
+        Array.init trials (fun _ ->
+            let sorted = Array.init n (fun i -> (Id.random rng, i)) in
+            Array.sort (fun (a, _) (b, _) -> Id.compare a b) sorted;
+            let owner, _ = sorted.(Prng.int rng n) in
+            float_of_int (Table_oracle.occupancy (Table_oracle.build_secure ~owner ~sorted))
+            /. float_of_int (Id.digits * Id.base))
+      in
+      got = expect)
 
 (* ---------- Density test ---------- *)
 
@@ -459,25 +459,6 @@ let test_chord_secure_fingers_are_first_successors () =
             entry.Chord.node)
     node.Chord.fingers
 
-let test_chord_standard_fingers_stay_in_interval () =
-  let rng = Prng.of_seed 146L in
-  let ids = Array.init 128 (fun _ -> Id.random rng) in
-  let overlay = Chord.build ~style:(Chord.Standard (Prng.of_seed 147L)) ids in
-  let node = Chord.node overlay 5 in
-  Array.iteri
-    (fun k finger ->
-      match finger with
-      | None -> ()
-      | Some entry ->
-          let target = Id.add_power_of_two node.Chord.id k in
-          let upper =
-            if k = Chord.finger_count - 1 then node.Chord.id
-            else Id.add_power_of_two node.Chord.id (k + 1)
-          in
-          check Alcotest.bool "inside the finger interval" true
-            (Id.in_clockwise_interval entry.Chord.peer ~lo:target ~hi:upper))
-    node.Chord.fingers
-
 let test_chord_occupancy_model_tracks_mc () =
   let rng = Prng.of_seed 148L in
   let n = 700 in
@@ -546,126 +527,6 @@ let test_secure_routing_castro_threshold () =
     (standard_at_25 < redundant_at_25 -. 0.05)
 
 
-(* ---------- Dynamic membership ---------- *)
-
-let overlay_equal a b =
-  let same = ref (Pastry.node_count a = Pastry.node_count b) in
-  if !same then
-    for v = 0 to Pastry.node_count a - 1 do
-      let na = Pastry.node a v and nb = Pastry.node b v in
-      if not (Id.equal na.Pastry.id nb.Pastry.id) then same := false;
-      if
-        not
-          (List.equal Id.equal
-             (Leaf_set.members na.Pastry.leaf_set)
-             (Leaf_set.members nb.Pastry.leaf_set))
-      then same := false;
-      Routing_table.iter
-        (fun ~row ~col entry ->
-          let other = Routing_table.get nb.Pastry.table ~row ~col in
-          match (entry, other) with
-          | None, None -> ()
-          | Some x, Some y ->
-              if
-                not
-                  (Id.equal x.Routing_table.peer y.Routing_table.peer
-                  && x.Routing_table.node = y.Routing_table.node)
-              then same := false
-          | None, Some _ | Some _, None -> same := false)
-        na.Pastry.table
-    done;
-  !same
-
-let prop_join_equals_rebuild =
-  QCheck.Test.make ~name:"incremental join equals a fresh build" ~count:25
-    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
-    (fun (seed, join_seed) ->
-      let rng = Prng.of_seed (Int64.of_int seed) in
-      let ids = Array.init 60 (fun _ -> Id.random rng) in
-      let overlay = Pastry.build ~leaf_half_size:4 ids in
-      let newcomer = Id.random (Prng.of_seed (Int64.of_int join_seed)) in
-      (* seed = join_seed regenerates ids.(0): a legitimate duplicate. *)
-      QCheck.assume (Pastry.index_of_id overlay newcomer = None);
-      let incremental = Pastry.add_node overlay newcomer in
-      let fresh = Pastry.build ~leaf_half_size:4 (Array.append ids [| newcomer |]) in
-      overlay_equal incremental fresh)
-
-let prop_leave_equals_rebuild =
-  QCheck.Test.make ~name:"incremental departure equals a fresh build" ~count:25
-    QCheck.(pair (int_range 0 10_000) (int_bound 59))
-    (fun (seed, victim) ->
-      let rng = Prng.of_seed (Int64.of_int seed) in
-      let ids = Array.init 60 (fun _ -> Id.random rng) in
-      let overlay = Pastry.build ~leaf_half_size:4 ids in
-      let incremental = Pastry.remove_node overlay ids.(victim) in
-      let survivors =
-        Array.of_list
-          (List.filteri (fun i _ -> i <> victim) (Array.to_list ids))
-      in
-      let fresh = Pastry.build ~leaf_half_size:4 survivors in
-      overlay_equal incremental fresh)
-
-let test_add_node_rejects_duplicates () =
-  let ids, overlay = pastry_fixture 50 170L in
-  Alcotest.check_raises "duplicate" (Invalid_argument "Pastry.add_node: duplicate identifier")
-    (fun () -> ignore (Pastry.add_node overlay ids.(7)))
-
-let test_route_avoiding () =
-  let _, overlay = pastry_fixture 200 171L in
-  let rng = Prng.of_seed 172L in
-  (* Find a key whose plain route passes through an intermediate node. *)
-  let rec search attempts =
-    if attempts = 0 then None
-    else begin
-      let dest = Id.random rng in
-      let hops = Pastry.route overlay ~from:0 ~dest in
-      if List.length hops >= 3 then Some (dest, hops) else search (attempts - 1)
-    end
-  in
-  match search 3000 with
-  | None -> Alcotest.fail "no multi-hop key"
-  | Some (dest, hops) ->
-      let shunned = List.nth hops 1 in
-      let root = List.nth hops (List.length hops - 1) in
-      (match Pastry.route_avoiding overlay ~from:0 ~dest ~avoid:(fun v -> v = shunned) with
-      | None -> Alcotest.fail "expected a detour"
-      | Some detour ->
-          check Alcotest.bool "detour skips the shunned node" false (List.mem shunned detour);
-          check Alcotest.int "still reaches the root" root
-            (List.nth detour (List.length detour - 1)));
-      (* Avoiding everyone but the endpoints leaves no route. *)
-      check Alcotest.bool "fully blocked" true
-        (Pastry.route_avoiding overlay ~from:0 ~dest ~avoid:(fun v -> v <> 0 && v <> root)
-         = None
-        ||
-        (* unless the root is a direct peer of the sender *)
-        List.length (Pastry.route overlay ~from:0 ~dest) <= 2)
-
-
-let test_add_node_preserves_original () =
-  let ids, overlay = pastry_fixture 60 175L in
-  ignore ids;
-  let before =
-    List.init (Pastry.node_count overlay) (fun v ->
-        Routing_table.entries (Pastry.node overlay v).Pastry.table)
-  in
-  let newcomer = Id.random (Prng.of_seed 176L) in
-  ignore (Pastry.add_node overlay newcomer);
-  let after =
-    List.init (Pastry.node_count overlay) (fun v ->
-        Routing_table.entries (Pastry.node overlay v).Pastry.table)
-  in
-  check Alcotest.bool "original untouched" true
-    (List.for_all2
-       (fun b a ->
-         List.length b = List.length a
-         && List.for_all2
-              (fun (r1, c1, e1) (r2, c2, e2) ->
-                r1 = r2 && c1 = c2
-                && Id.equal e1.Routing_table.peer e2.Routing_table.peer)
-              b a)
-       before after)
-
 (* ---------- Id helpers for the flat core ---------- *)
 
 let prop_midpoint_orders =
@@ -725,20 +586,20 @@ let alive_pairs ring =
   done;
   Array.of_list !acc
 
-(* Byte-equivalence of the maintained table against build_secure over the
+(* Byte-equivalence of the maintained table against the oracle over the
    current alive membership, for every owner (dead ones included) and every
    slot — materialised rows and on-demand deep rows alike. *)
 let assert_tables_match tbl context =
   let ring = Inc_table.ring tbl in
   let sorted = alive_pairs ring in
   for owner = 0 to Ring.size ring - 1 do
-    let oracle = Routing_table.build_secure ~owner:(Ring.id ring owner) ~sorted in
+    let oracle = Table_oracle.build_secure ~owner:(Ring.id ring owner) ~sorted in
     for row = 0 to Id.digits - 1 do
       for col = 0 to Id.base - 1 do
         let expect =
-          match Routing_table.get oracle ~row ~col with
+          match Table_oracle.get oracle ~row ~col with
           | None -> -1
-          | Some e -> e.Routing_table.node
+          | Some e -> e.Table_oracle.node
         in
         let got = Inc_table.entry tbl ~owner ~row ~col in
         if got <> expect then
@@ -833,6 +694,42 @@ let prop_parallel_build_matches_sequential =
           Concilium_util.Pool.with_pool ~domains (fun pool ->
               Inc_table.checksum (Inc_table.build ~pool (make_ring ())) = reference))
         [ 2; 3; 8 ])
+
+(* ---------- Dynamic membership ---------- *)
+
+(* A single join or leave delta leaves every table — all 32 rows, dead
+   owners included — exactly as a fresh sweep-build over the new alive set
+   would. [kill] marks the positions dead before building. *)
+let build_table ids ~kill =
+  let ring = Ring.of_ids ids in
+  List.iter (Ring.set_dead ring) kill;
+  Inc_table.build ~rows:Id.digits ring
+
+let prop_join_equals_rebuild =
+  QCheck.Test.make ~name:"incremental join equals a fresh build" ~count:25
+    QCheck.(pair (int_range 0 10_000) (int_bound 60))
+    (fun (seed, joiner) ->
+      let ids = distinct_ids ~rng:(Prng.of_seed (Int64.of_int seed)) 61 in
+      let table = build_table ids ~kill:[ joiner ] in
+      ignore (Inc_table.apply_join table joiner);
+      let fresh = build_table ids ~kill:[] in
+      Inc_table.checksum table = Inc_table.checksum fresh)
+
+let prop_leave_equals_rebuild =
+  QCheck.Test.make ~name:"incremental departure equals a fresh build" ~count:25
+    QCheck.(pair (int_range 0 10_000) (int_bound 59))
+    (fun (seed, victim) ->
+      let ids = distinct_ids ~rng:(Prng.of_seed (Int64.of_int seed)) 60 in
+      let table = build_table ids ~kill:[] in
+      ignore (Inc_table.apply_leave table victim);
+      let fresh = build_table ids ~kill:[ victim ] in
+      Inc_table.checksum table = Inc_table.checksum fresh)
+
+let test_join_rejects_alive_node () =
+  let ids = distinct_ids ~rng:(Prng.of_seed 170L) 50 in
+  let table = build_table ids ~kill:[] in
+  Alcotest.check_raises "duplicate" (Invalid_argument "Inc_table.apply_join: node is alive")
+    (fun () -> ignore (Inc_table.apply_join table 7))
 
 (* ---------- Flat (universe-indexed) routing ---------- *)
 
@@ -937,8 +834,6 @@ let suites =
         Alcotest.test_case "secure prefix constraint" `Quick test_secure_table_prefix_constraint;
         Alcotest.test_case "secure closest-to-point" `Quick
           test_secure_table_picks_closest_to_point;
-        Alcotest.test_case "standard prefix constraint" `Quick
-          test_standard_table_prefix_constraint;
         Alcotest.test_case "next hop improves prefix" `Quick test_next_hop_improves_prefix;
       ] );
     ( "overlay.jump_table_model",
@@ -947,6 +842,7 @@ let suites =
         Alcotest.test_case "tiny-world closed forms" `Quick test_fill_probability_small_world;
         Alcotest.test_case "paper's 77-entry table" `Quick test_expected_entries_paper_value;
         Alcotest.test_case "model matches Monte Carlo" `Quick test_model_matches_monte_carlo;
+        qtest prop_monte_carlo_matches_oracle;
       ] );
     ( "overlay.density_test",
       [
@@ -968,10 +864,7 @@ let suites =
       [
         qtest prop_join_equals_rebuild;
         qtest prop_leave_equals_rebuild;
-        Alcotest.test_case "duplicate join rejected" `Quick test_add_node_rejects_duplicates;
-        Alcotest.test_case "join leaves the original intact" `Quick
-          test_add_node_preserves_original;
-        Alcotest.test_case "route around accused nodes" `Quick test_route_avoiding;
+        Alcotest.test_case "duplicate join rejected" `Quick test_join_rejects_alive_node;
       ] );
     ( "overlay.secure_routing",
       [
@@ -990,8 +883,6 @@ let suites =
         Alcotest.test_case "logarithmic routing" `Quick test_chord_logarithmic_routing;
         Alcotest.test_case "secure fingers unique" `Quick
           test_chord_secure_fingers_are_first_successors;
-        Alcotest.test_case "standard fingers in interval" `Quick
-          test_chord_standard_fingers_stay_in_interval;
         Alcotest.test_case "occupancy model vs MC" `Quick test_chord_occupancy_model_tracks_mc;
         qtest prop_chord_next_hop_matches_reference;
       ] );

@@ -172,40 +172,6 @@ let prop_bfs_triangle_inequality =
       distance a c <= distance a b + distance b c)
 
 
-(* ---------- Serialize ---------- *)
-
-module Serialize = Concilium_topology.Serialize
-
-let test_serialize_roundtrip () =
-  let world = Generate.generate (Generate.tiny ~seed:44L) in
-  let path = Filename.temp_file "concilium-topo" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Serialize.save_world ~path world;
-      match Serialize.load_world ~path with
-      | Error message -> Alcotest.failf "load failed: %s" message
-      | Ok loaded ->
-          check Alcotest.int "nodes" (Graph.node_count world.Generate.graph)
-            (Graph.node_count loaded.Generate.graph);
-          check Alcotest.int "links" (Graph.link_count world.Generate.graph)
-            (Graph.link_count loaded.Generate.graph);
-          check (Alcotest.array Alcotest.int) "end hosts"
-            (Graph.end_hosts world.Generate.graph)
-            (Graph.end_hosts loaded.Generate.graph))
-
-let test_serialize_rejects_garbage () =
-  let path = Filename.temp_file "concilium-topo" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOT-A-TOPOLOGY-FILE-AT-ALL";
-      close_out oc;
-      match Serialize.load_world ~path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "garbage accepted")
-
 let suites =
   [
     ( "topology.graph",
@@ -221,11 +187,6 @@ let suites =
         Alcotest.test_case "tiny invariants" `Quick test_generate_tiny_invariants;
         Alcotest.test_case "deterministic" `Quick test_generate_deterministic;
         Alcotest.test_case "small-scale population" `Quick test_generate_small_scale_population;
-      ] );
-    ( "topology.serialize",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
-        Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
       ] );
     ( "topology.routes",
       [
