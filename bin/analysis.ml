@@ -1,5 +1,6 @@
-(* concilium-analysis: whole-program effect & determinism analysis.
-   Builds the inter-module call graph, infers transitive effects, runs the
+(* concilium-analysis: the static-check gate for the Concilium tree.
+   Applies the per-file determinism, partiality and hygiene rules, builds
+   the inter-module call graph, infers transitive effects, and runs the
    pool race detector and the architecture layering checker.  Exits 0 when
    the tree is clean, 1 when any finding survives suppression, 2 on usage
    errors.  [--inject-bug] adds a named canary mutation so CI can prove the
@@ -8,12 +9,13 @@
 
 module Driver = Concilium_analysis.Driver
 module Inject = Concilium_analysis.Inject
+module Rules = Concilium_analysis.Rules
 
 open Cmdliner
 
 let paths =
-  let doc = "Directories or files to scan (typically: lib bin)." in
-  Arg.(value & pos_all string [ "lib"; "bin" ] & info [] ~docv:"PATH" ~doc)
+  let doc = "Directories or files to scan." in
+  Arg.(value & pos_all string [ "lib"; "bin"; "test" ] & info [] ~docv:"PATH" ~doc)
 
 let format =
   let doc = "Output format: $(b,text) or $(b,json)." in
@@ -42,14 +44,27 @@ let dump_effects =
   let doc = "Write per-function effect summaries to $(docv) (JSONL)." in
   Arg.(value & opt (some string) None & info [ "dump-effects" ] ~docv:"FILE" ~doc)
 
+let list_rules =
+  let doc = "List every rule with its family and description, then exit." in
+  Arg.(value & flag & info [ "list-rules" ] ~doc)
+
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
 
-let run paths format layers inject_bug expect_findings dump_callgraph dump_effects =
+let print_catalog () =
+  List.iter
+    (fun (id, family, message) ->
+      Printf.printf "%-26s %-20s %s\n" id (Rules.family_to_string family) message)
+    Rules.catalog
+
+let run paths format layers inject_bug expect_findings dump_callgraph dump_effects list_rules =
   let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
   let unknown = List.filter (fun name -> Inject.find name = None) inject_bug in
   match (missing, unknown) with
+  | _ when list_rules ->
+      print_catalog ();
+      0
   | path :: _, _ ->
       Printf.eprintf "analysis: no such path: %s\n" path;
       2
@@ -79,11 +94,11 @@ let run paths format layers inject_bug expect_findings dump_callgraph dump_effec
           if expect_findings then if clean then 1 else 0 else if clean then 0 else 1)
 
 let cmd =
-  let doc = "whole-program effect & determinism analysis for the Concilium tree" in
+  let doc = "static determinism, partiality, race and layering checks for the Concilium tree" in
   let info = Cmd.info "concilium-analysis" ~doc in
   Cmd.v info
     Term.(
       const run $ paths $ format $ layers $ inject_bug $ expect_findings $ dump_callgraph
-      $ dump_effects)
+      $ dump_effects $ list_rules)
 
 let () = exit (Cmd.eval' cmd)

@@ -30,6 +30,7 @@ module Routes = Concilium_topology.Routes
 module Id = Concilium_overlay.Id
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
+module Json = Concilium_util.Json
 module Collector = Concilium_obs.Collector
 module Trace = Concilium_obs.Trace
 module Export = Concilium_obs.Export
@@ -657,15 +658,15 @@ let scenario_passed r = Soak.pass (invariant_inputs r)
 
 let emit_json buf ~matrix ~seed ~disable ~expect_failure results =
   let add fmt = Printf.bprintf buf fmt in
-  add "{\n  \"matrix\": %S,\n  \"seed\": %Ld,\n" matrix seed;
+  add "{\n  \"matrix\": %s,\n  \"seed\": %Ld,\n" (Json.quote matrix) seed;
   (match disable with
   | None -> add "  \"disabled_defense\": null,\n"
-  | Some d -> add "  \"disabled_defense\": %S,\n" (defense_name d));
+  | Some d -> add "  \"disabled_defense\": %s,\n" (Json.quote (defense_name d)));
   add "  \"expect_failure\": %b,\n  \"scenarios\": [\n" expect_failure;
   List.iteri
     (fun i r ->
       let t = r.tally in
-      add "    {\n      \"name\": %S,\n" r.scenario.name;
+      add "    {\n      \"name\": %s,\n" (Json.quote r.scenario.name);
       add "      \"faults\": {";
       List.iteri
         (fun j (family, count) ->
@@ -709,10 +710,10 @@ let emit_json buf ~matrix ~seed ~disable ~expect_failure results =
       add "],\n";
       (match r.failure with
       | None -> add "      \"exception\": null,\n"
-      | Some msg -> add "      \"exception\": %S,\n" msg);
+      | Some msg -> add "      \"exception\": %s,\n" (Json.quote msg));
       add "      \"invariant_failures\": [";
       List.iteri
-        (fun j label -> add "%s%S" (if j = 0 then "" else ", ") label)
+        (fun j label -> add "%s%s" (if j = 0 then "" else ", ") (Json.quote label))
         (Soak.failures (invariant_inputs r));
       add "],\n";
       add "      \"pass\": %b\n" (scenario_passed r);

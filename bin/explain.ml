@@ -14,7 +14,7 @@
    --expect-divergence it is the CI canary proving the validator can
    actually fail. *)
 
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module Blame = Concilium_core.Blame
 
 type node = { id : int; kind : string; fields : (string * Json.t) list; mutable children : int list }
@@ -108,8 +108,8 @@ let load path =
      A full dump never has any; a flight dump's truncation stays visible
      to the validator because replaying a chain missing counted votes
      cannot reproduce the recorded blame. *)
-  (* Each node is rewritten independently of every other, so iteration
-     order cannot matter. lint: allow hashtbl-order *)
+  (* analysis: allow hashtbl-order — each node is rewritten independently
+     of every other, so iteration order cannot matter. *)
   Hashtbl.iter
     (fun _ n -> n.children <- List.rev (List.filter (Hashtbl.mem nodes) n.children))
     nodes;
@@ -319,7 +319,8 @@ let render_text g root =
 let render_json g root =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (name, value) -> Printf.bprintf buf {|{"param": %S, "value": %.17g}|} name value;
+    (fun (name, value) ->
+      Printf.bprintf buf {|{"param": %s, "value": %.17g}|} (Json.quote name) value;
       Buffer.add_char buf '\n')
     g.params;
   List.iter

@@ -2,7 +2,8 @@
    under sustained churn, and measure build / route / churn-step costs plus
    the incremental-vs-rebuild maintenance ratio.
 
-   All wall-clock measurement lives here, not in lib/ (determinism lint).
+   All wall-clock measurement lives here, not in lib/ (the [wall-clock]
+   analysis rule).
    The --transcript file receives only deterministic, replayable lines
    (checksums, digests, counts) so CI can diff --domains 1 vs --domains 2
    byte-for-byte; timings go to --json, which is never diffed. *)
@@ -14,8 +15,8 @@ module Collector = Concilium_obs.Collector
 module Export = Concilium_obs.Export
 module Flight = Concilium_obs.Flight
 
-(* This driver is the one place that measures wall-clock cost; nothing it
-   times feeds back into simulation state.  lint: allow wall-clock *)
+(* analysis: allow wall-clock — this driver is the one place that measures
+   wall-clock cost; nothing it times feeds back into simulation state. *)
 let now () = Unix.gettimeofday ()
 
 (* "10k,100k,1M" / "1_000_000" / "4096" -> sizes. *)

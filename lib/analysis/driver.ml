@@ -1,6 +1,9 @@
 (* Orchestration: gather sources, run the passes, filter suppressions and
-   render reports.  [analyze_sources] is pure over in-memory sources so the
-   tests drive it with fixtures; [analyze_tree] walks the repository. *)
+   render reports.  Each source file is scrubbed once; the scrub feeds the
+   per-file rules, the suppression directives and, for [.ml] files, the
+   whole-program passes.  [analyze_sources] is pure over in-memory sources
+   so the tests drive it with fixtures; [analyze_tree] walks the
+   repository. *)
 
 module Metrics = Concilium_obs.Metrics
 
@@ -21,12 +24,15 @@ let call_edges (effects : Effects.t) =
 
 (* ---------- Core pipeline over in-memory sources ---------- *)
 
-let analyze_sources ~layers_path ~layers_text ~dunes ~files =
+(* [tree_findings] are project-level hits (missing-mli) that go through
+   the same suppression filter as everything else. *)
+let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
+  let scanned = List.map (fun (path, source) -> (path, Lexer.scrub source)) files in
   let modules =
     List.filter_map
-      (fun (path, source) ->
-        if Filename.check_suffix path ".ml" then Some (Source.parse ~path source) else None)
-      files
+      (fun (path, scrubbed) ->
+        if Filename.check_suffix path ".ml" then Some (Source.parse ~path scrubbed) else None)
+      scanned
   in
   let program = Callgraph.build modules in
   let effects = Effects.compute program in
@@ -61,18 +67,23 @@ let analyze_sources ~layers_path ~layers_text ~dunes ~files =
         Layering.check spec (dune_edges @ Layering.xref_edges xrefs)
   in
   let race_findings = Races.analyze program effects in
-  let raw = List.sort_uniq Finding.compare_finding (layer_findings @ race_findings) in
-  (* suppression directives live in each module's comments *)
+  let file_findings =
+    List.concat_map (fun (path, scrubbed) -> Rules.check_source ~path scrubbed) scanned
+    @ List.concat_map (fun (path, text) -> Rules.check_dune ~path text) dunes
+  in
+  let raw =
+    List.sort_uniq Finding.compare_finding
+      (tree_findings @ file_findings @ layer_findings @ race_findings)
+  in
+  (* suppression directives live in each source file's comments *)
   let by_file = Hashtbl.create 64 in
   let invalid_directives = ref [] in
   List.iter
-    (fun (m : Source.module_info) ->
-      let suppressions, invalid =
-        Finding.parse_suppressions ~file:m.Source.m_path m.Source.m_comments
-      in
-      Hashtbl.replace by_file m.Source.m_path suppressions;
+    (fun (path, (scrubbed : Lexer.scrubbed)) ->
+      let suppressions, invalid = Finding.parse_suppressions ~file:path scrubbed.Lexer.comments in
+      Hashtbl.replace by_file path suppressions;
       invalid_directives := !invalid_directives @ invalid)
-    modules;
+    scanned;
   let kept, suppressed =
     List.partition
       (fun (f : Finding.t) ->
@@ -100,6 +111,9 @@ let analyze_sources ~layers_path ~layers_text ~dunes ~files =
     r_edges = call_edges effects;
   }
 
+let analyze_sources ~layers_path ~layers_text ~dunes ~files =
+  analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings:[]
+
 (* ---------- Filesystem walking ---------- *)
 
 let read_file path =
@@ -114,7 +128,11 @@ let rec collect path acc =
     |> List.filter (fun entry -> entry <> "" && entry.[0] <> '.' && entry.[0] <> '_')
     |> List.sort String.compare
     |> List.fold_left (fun acc entry -> collect (Filename.concat path entry) acc) acc
-  else if Filename.check_suffix path ".ml" || Filename.basename path = "dune" then path :: acc
+  else if
+    Filename.check_suffix path ".ml"
+    || Filename.check_suffix path ".mli"
+    || Filename.basename path = "dune"
+  then path :: acc
   else acc
 
 let analyze_tree ~layers_path ~inject ~paths =
@@ -134,8 +152,8 @@ let analyze_tree ~layers_path ~inject ~paths =
         List.map (fun (c : Inject.canary) -> (c.Inject.c_path, c.Inject.c_source)) inject
       in
       Ok
-        (analyze_sources ~layers_path ~layers_text ~dunes:(List.rev dunes)
-           ~files:(List.rev sources @ injected))
+        (analyze ~layers_path ~layers_text ~dunes:(List.rev dunes)
+           ~files:(List.rev sources @ injected) ~tree_findings:(Rules.missing_mli found))
 
 (* ---------- Rendering ---------- *)
 

@@ -1,5 +1,5 @@
-(** Orchestration: gather sources, run the passes, filter suppressions,
-    render reports. *)
+(** Orchestration: gather sources, run the per-file rules and the
+    whole-program passes, filter suppressions, render reports. *)
 
 type report = {
   r_findings : Finding.t list;  (** unsuppressed, sorted *)
@@ -16,15 +16,19 @@ val analyze_sources :
   dunes:(string * string) list ->
   files:(string * string) list ->
   report
-(** Pure over in-memory sources; the tests drive this with fixtures. *)
+(** Pure over in-memory sources ([.ml] and [.mli] in [files]); the tests
+    drive this with fixtures.  Every file gets the per-file rules; the
+    [.ml] files also feed the call graph, the race detector and the
+    layering checker. *)
 
 val analyze_tree :
   layers_path:string ->
   inject:Inject.canary list ->
   paths:string list ->
   (report, string) result
-(** Walk the given directories for [.ml] and [dune] files (skipping dot and
-    underscore entries), append any injected canaries, and analyze. *)
+(** Walk the given directories for [.ml], [.mli] and [dune] files
+    (skipping dot and underscore entries), check [.mli] coverage of the
+    walked [lib/] modules, append any injected canaries, and analyze. *)
 
 val summary_line : report -> string
 val render_text : report -> string

@@ -1,9 +1,13 @@
-(* Findings and suppression directives for the whole-program analysis.
+(* Findings and suppression directives for the analysis.
 
-   A finding is like a lint diagnostic but carries a call trail: the chain
-   of functions from a domain-pool task root down to the line where the
-   offending effect originates, so a report reads as a path through the
-   call graph rather than a bare line number. *)
+   A finding names a rule, a file and a line.  The whole-program race
+   findings also carry a call trail: the chain of functions from a
+   domain-pool task root down to the line where the offending effect
+   originates, so a report reads as a path through the call graph rather
+   than a bare line number.  Per-file and layering findings have an empty
+   trail. *)
+
+module Json = Concilium_util.Json
 
 type t = {
   rule : string;
@@ -25,9 +29,8 @@ let compare_finding a b =
 
 (* [(* analysis: allow <rule ...> — <reason> *)] suppresses the named rules
    on the comment's lines and the line right after it; [allow-file] covers
-   the whole file.  Unlike the lint's directives, a justification after an
-   em-dash (or a double hyphen) is mandatory: an allow without a reason is
-   itself reported. *)
+   the whole file.  A justification after an em-dash (or a double hyphen)
+   is mandatory: an allow without a reason is itself reported. *)
 type suppression = {
   rules : string list;
   first_line : int;
@@ -50,7 +53,7 @@ let parse_suppressions ~file comments =
   let suppressions = ref [] in
   let invalid = ref [] in
   List.iter
-    (fun (c : Concilium_lint.Lexer.comment) ->
+    (fun (c : Lexer.comment) ->
       match Str.search_forward directive_re c.text 0 with
       | exception Not_found -> ()
       | _ ->
@@ -106,26 +109,10 @@ let render_text buffer findings =
       render_trail buffer f.trail)
     findings
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer {|\"|}
-      | '\\' -> Buffer.add_string buffer {|\\|}
-      | '\n' -> Buffer.add_string buffer {|\n|}
-      | '\t' -> Buffer.add_string buffer {|\t|}
-      | '\r' -> Buffer.add_string buffer {|\r|}
-      | c when Char.code c < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let to_json findings =
   let item f =
-    let trail = String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) f.trail) in
-    Printf.sprintf
-      "  {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"message\": \"%s\", \"trail\": [%s]}"
-      (json_escape f.file) f.line (json_escape f.rule) (json_escape f.message) trail
+    let trail = String.concat ", " (List.map Json.quote f.trail) in
+    Printf.sprintf "  {\"file\": %s, \"line\": %d, \"rule\": %s, \"message\": %s, \"trail\": [%s]}"
+      (Json.quote f.file) f.line (Json.quote f.rule) (Json.quote f.message) trail
   in
   "[\n" ^ String.concat ",\n" (List.map item findings) ^ "\n]"

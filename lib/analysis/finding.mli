@@ -1,4 +1,4 @@
-(** Findings and suppression directives for the whole-program analysis. *)
+(** Findings and suppression directives for the analysis. *)
 
 type t = {
   rule : string;
@@ -21,7 +21,7 @@ type suppression = {
 }
 
 val parse_suppressions :
-  file:string -> Concilium_lint.Lexer.comment list -> suppression list * t list
+  file:string -> Lexer.comment list -> suppression list * t list
 (** Directives from a module's comments; the second component reports
     directives without a justification (which suppress nothing). *)
 

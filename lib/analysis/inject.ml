@@ -1,7 +1,8 @@
 (* Canary mutations: small synthetic source files injected into the scanned
-   tree by [--inject-bug] to prove the detectors catch real races.  Each
-   canary carries the rule it must trip; CI runs every canary expecting a
-   non-zero exit, so a detector regression turns the build red. *)
+   tree by [--inject-bug] to prove the detectors catch real races, layer
+   violations and per-file rule hits.  Each canary carries the rule it must
+   trip; CI runs every canary expecting a non-zero exit, so a detector
+   regression turns the build red. *)
 
 type canary = {
   c_name : string;
@@ -62,6 +63,13 @@ let run ?pool () =
       c_rule = "layer-back-edge";
       c_source =
         {|let upward_reference () = Concilium_core.Scenario.default
+|};
+    };
+    {
+      c_name = "wall-clock-in-lib";
+      c_path = "lib/netsim/canary_wall_clock.ml";
+      c_rule = "wall-clock";
+      c_source = {|let stamp () = Unix.gettimeofday ()
 |};
     };
   ]

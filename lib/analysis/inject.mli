@@ -1,5 +1,6 @@
 (** Canary mutations for [--inject-bug]: synthetic source files that must
-    each trip a named rule, proving the detectors catch real races. *)
+    each trip a named rule, proving the detectors catch real races, layer
+    violations and per-file rule hits. *)
 
 type canary = {
   c_name : string;

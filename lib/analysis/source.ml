@@ -1,14 +1,12 @@
 (* Lightweight def/use extraction over OCaml source.
 
-   This is not a parser for the language: it reuses the lint's comment- and
-   string-aware lexer to blank out non-code, then recovers just enough
+   This is not a parser for the language: it works on source already
+   scrubbed by the comment- and string-aware [Lexer], and recovers just enough
    structure for a whole-program analysis — top-level definitions with their
    parameter lists and body spans, [open]s, [module X = Path] aliases, and
    single-level [module X = struct ... end] groups.  Bodies stay as scrubbed
    text; call sites and argument atoms are recovered on demand by the
    scanners at the bottom of this file. *)
-
-module Lexer = Concilium_lint.Lexer
 
 (* ---------- Character classes and small scanners ---------- *)
 
@@ -124,7 +122,6 @@ type module_info = {
   m_opens : string list;
   m_aliases : (string * string list) list;  (* local name -> path segments *)
   m_defs : def list;
-  m_comments : Lexer.comment list;
   m_code : string array;
 }
 
@@ -319,8 +316,7 @@ let parse_let item_text line prefix =
     d_is_value = !params = [];
   }
 
-let parse_module ~path ~library source =
-  let scrubbed = Lexer.scrub source in
+let parse ~path (scrubbed : Lexer.scrubbed) =
   let lines = scrubbed.Lexer.code_lines in
   let count = Array.length lines in
   let defs = ref [] in
@@ -384,16 +380,13 @@ let parse_module ~path ~library source =
   ignore (walk ~indent:0 ~prefix:"" 0);
   {
     m_path = path;
-    m_library = library;
+    m_library = library_of_path path;
     m_name = module_name_of_path path;
     m_opens = List.rev !opens;
     m_aliases = List.rev !aliases;
     m_defs = List.rev !defs;
-    m_comments = scrubbed.Lexer.comments;
     m_code = lines;
   }
-
-let parse ~path source = parse_module ~path ~library:(library_of_path path) source
 
 (* ---------- Argument atoms ---------- *)
 

@@ -39,14 +39,14 @@ type module_info = {
   m_opens : string list;
   m_aliases : (string * string list) list;  (** local name -> path segments *)
   m_defs : def list;
-  m_comments : Concilium_lint.Lexer.comment list;
   m_code : string array;  (** scrubbed code lines *)
 }
 
 val library_of_path : string -> string
 (** [lib/<dir>/x.ml -> concilium_<dir>]; [bin/x.ml -> bin]. *)
 
-val parse : path:string -> string -> module_info
+val parse : path:string -> Lexer.scrubbed -> module_info
+(** Definitions, opens and aliases of one scrubbed [.ml]. *)
 
 (** One argument at a call site: its label, raw text, leading identifier
     when it is an identifier path, and identifiers used in [.(...)]

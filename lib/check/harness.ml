@@ -10,6 +10,7 @@ module Graph = Concilium_topology.Graph
 module Id = Concilium_overlay.Id
 module Collector = Concilium_obs.Collector
 module Metrics = Concilium_obs.Metrics
+module Json = Concilium_util.Json
 
 type outcome = { seed : int; ops : int; divergence : Lockstep.divergence option }
 

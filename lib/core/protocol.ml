@@ -701,8 +701,9 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
     let supporting =
       List.filter_map
         (fun entry ->
-          (* Identity (not structural) comparison is the point: exclude the
-             exact evidence value being filed.  lint: allow physical-equality *)
+          (* analysis: allow physical-equality — identity (not structural)
+             comparison is the point: exclude the exact evidence value being
+             filed. *)
           if entry.Verdict_window.evidence == evidence then None
           else Some entry.Verdict_window.evidence)
         (Verdict_window.guilty_entries window)
@@ -756,8 +757,9 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
           Prov.edge prov ~parent:anode ~child:vnode;
           List.iter
             (fun entry ->
-              (* Skip the evidence value being filed, by identity, exactly
-                 as the [supporting] filter above.  lint: allow physical-equality *)
+              (* analysis: allow physical-equality — skip the evidence value
+                 being filed, by identity, exactly as the [supporting] filter
+                 above. *)
               if not (entry.Verdict_window.evidence == evidence) then begin
                 match
                   Hashtbl.find_opt t.prov_verdicts

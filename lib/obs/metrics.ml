@@ -1,4 +1,5 @@
 module Histogram = Concilium_stats.Histogram
+module Json = Concilium_util.Json
 
 (* Log-bucketed histograms reuse the linear stats histogram over log2 space:
    bucket i counts observations in [2^i, 2^(i+1)). 64 bins cover the full
@@ -85,8 +86,8 @@ let counters t =
 
 let copy t =
   let out = { recording = t.recording; table = Hashtbl.create (Hashtbl.length t.table + 1) } in
-  (* Keyed inserts into a fresh table: the result is the same whatever
-     order the source is walked in. lint: allow hashtbl-order *)
+  (* analysis: allow hashtbl-order — keyed inserts into a fresh table: the
+     result is the same whatever order the source is walked in. *)
   Hashtbl.iter
     (fun name metric ->
       let dup =
@@ -146,11 +147,11 @@ let snapshot_fields t =
   let counters, gauges, histos = picked t in
   let buf = Buffer.create 256 in
   let section label items add_item =
-    Buffer.add_string buf (Printf.sprintf "%S: {" label);
+    Buffer.add_string buf (Json.quote label ^ ": {");
     List.iteri
       (fun i (name, item) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "%S: " name);
+        Buffer.add_string buf (Json.quote name ^ ": ");
         add_item buf item)
       items;
     Buffer.add_char buf '}'
@@ -165,11 +166,11 @@ let snapshot_fields t =
 let add_section buf ~label ~first items add_item =
   if not !first then Buffer.add_string buf ",\n";
   first := false;
-  Buffer.add_string buf (Printf.sprintf "  %S: {" label);
+  Buffer.add_string buf ("  " ^ Json.quote label ^ ": {");
   List.iteri
     (fun i (name, item) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    %S: " name);
+      Buffer.add_string buf ("\n    " ^ Json.quote name ^ ": ");
       add_item buf item)
     items;
   if items <> [] then Buffer.add_string buf "\n  ";

@@ -33,7 +33,7 @@ let set_tap t f = if t.recording then t.tap <- Some f
    Shared by the batch [jsonl] export and the streaming tap, so a flight
    recorder's ring holds exactly the lines a full dump would contain. *)
 
-let add_escaped buf s = Buffer.add_string buf (Printf.sprintf "%S" s)
+let add_escaped = Concilium_util.Json.escape_into
 
 let add_value buf value =
   match value with

@@ -82,8 +82,8 @@ let numerically_closest t key =
   consider position;
   consider (position - 1);
   consider (position + 1);
-  (* The ring has at least two members (build rejects smaller ones), so a
-     candidate was considered.  lint: allow assert-false *)
+  (* analysis: allow assert-false — the ring has at least two members
+     (build rejects smaller ones), so a candidate was considered. *)
   match !best with Some (p, _) -> t.index_of_position.(p) | None -> assert false
 
 let next_hop t ~from ~dest =

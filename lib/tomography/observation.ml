@@ -27,8 +27,8 @@ let latest_on_link t ~link =
   | Some { contents = newest :: _ } -> Some newest
 
 let prune_before t horizon =
-  (* Each cell is filtered independently; the visit order cannot change the
-     outcome.  lint: allow hashtbl-order *)
+  (* analysis: allow hashtbl-order — each cell is filtered independently;
+     the visit order cannot change the outcome. *)
   Hashtbl.iter
     (fun _ cell ->
       let kept = List.filter (fun obs -> obs.time >= horizon) !cell in

@@ -40,7 +40,7 @@
    domain, so the counters need no locking. The times are wall-clock —
    they never feed back into simulation state, they only attribute where
    real time went (bench --json "pool" section; ROADMAP item 2).
-   lint: allow wall-clock *)
+   analysis: allow wall-clock — pool accounting only, never simulation state *)
 let now () = Unix.gettimeofday ()
 
 type slot = {

@@ -32,8 +32,8 @@ let fold f init t =
   for i = 0 to t.length - 1 do
     match t.data.((t.start + i) mod cap) with
     | Some x -> acc := f !acc x
-    (* Slots below [t.length] are always populated by [push].
-       lint: allow assert-false *)
+    (* analysis: allow assert-false — slots below [t.length] are always
+       populated by [push]. *)
     | None -> assert false
   done;
   !acc

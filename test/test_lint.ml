@@ -1,21 +1,33 @@
+(* The per-file rules of the analysis driver: the lexer, each rule's
+   scope, the suppression grammar, and the project-level checks. *)
+
 open Alcotest
-module Lexer = Concilium_lint.Lexer
-module Rules = Concilium_lint.Rules
-module Engine = Concilium_lint.Engine
-module Report = Concilium_lint.Report
+module Lexer = Concilium_analysis.Lexer
+module Rules = Concilium_analysis.Rules
+module Driver = Concilium_analysis.Driver
+module Finding = Concilium_analysis.Finding
+module Json = Concilium_util.Json
 
 (* Fixtures are assembled from pieces so this file itself never contains a
    bannable construct (or trailing whitespace) outside a string literal. *)
 
-let lint ?(path = "lib/fixture/fake.ml") source = Engine.lint_ml ~path source
+let layers = "util\nbin test\n"
 
-let rule_ids diagnostics =
-  List.sort_uniq String.compare (List.map (fun (d : Rules.diagnostic) -> d.Rules.rule) diagnostics)
+let analyze ?(dunes = []) files =
+  (Driver.analyze_sources ~layers_path:"analysis/layers.txt" ~layers_text:layers ~dunes ~files)
+    .Driver.r_findings
 
-let fired rule diagnostics = List.mem rule (rule_ids diagnostics)
+(* The findings reported against one fixture file. *)
+let lint ?(path = "lib/fixture/fake.ml") source =
+  List.filter (fun (f : Finding.t) -> f.Finding.file = path) (analyze [ (path, source) ])
 
-let check_fires rule source =
-  check bool (Printf.sprintf "%s fires" rule) true (fired rule (lint source))
+let rule_ids findings =
+  List.sort_uniq String.compare (List.map (fun (f : Finding.t) -> f.Finding.rule) findings)
+
+let fired rule findings = List.mem rule (rule_ids findings)
+
+let check_fires ?path rule source =
+  check bool (Printf.sprintf "%s fires" rule) true (fired rule (lint ?path source))
 
 let check_clean ?path rule source =
   check bool (Printf.sprintf "%s silent" rule) false (fired rule (lint ?path source))
@@ -140,7 +152,7 @@ let test_hashtbl_order_rule () =
   in
   check_clean "hashtbl-order" sorted;
   let suppressed =
-    "let bump t =\n  (* order-independent mutation; lint: allow hashtbl-order *)\n  Hashtbl.iter (fun _ cell -> incr cell) t\n"
+    "let bump t =\n  (* analysis: allow hashtbl-order \xe2\x80\x94 order-independent *)\n  Hashtbl.iter (fun _ cell -> incr cell) t\n"
   in
   check_clean "hashtbl-order" suppressed;
   (* Only lib/ and bin/ are in scope for the ordering rule. *)
@@ -180,20 +192,25 @@ let test_partiality_rules () =
   check_clean ~path:"test/fake.ml" "list-partial" "let x = List.hd xs\n"
 
 let test_suppression_scope () =
-  (* An allow comment covers its own line and the next one only. *)
-  let suppressed = "(* lint: allow list-partial *)\nlet x = List.hd xs\n" in
-  check_clean "list-partial" suppressed;
-  let out_of_scope = "(* lint: allow list-partial *)\nlet a = 1\nlet x = List.hd xs\n" in
-  check_fires "list-partial" out_of_scope;
+  let allow rules = "(* analysis: " ^ rules ^ " -- fixture *)\n" in
+  (* An allow comment covers its own lines and the next one only. *)
+  check_clean "list-partial" (allow "allow list-partial" ^ "let x = List.hd xs\n");
+  check_clean "list-partial"
+    ("(* analysis: allow list-partial \xe2\x80\x94 two-line\n   reason *)\nlet x = List.hd xs\n");
+  check_fires "list-partial" (allow "allow list-partial" ^ "let a = 1\nlet x = List.hd xs\n");
   (* allow-file covers the whole file; [all] covers every rule. *)
-  let file_wide = "(* lint: allow-file list-partial *)\nlet a = 1\nlet x = List.hd xs\n" in
-  check_clean "list-partial" file_wide;
-  let wildcard = "(* lint: allow all *)\nlet x = List.hd (List.sort compare xs)\n" in
-  let diagnostics = lint wildcard in
-  check int "all suppresses everything" 0 (List.length diagnostics);
+  check_clean "list-partial" (allow "allow-file list-partial" ^ "let a = 1\nlet x = List.hd xs\n");
+  let findings = lint (allow "allow all" ^ "let x = List.hd (List.sort compare xs)\n") in
+  check int "all suppresses everything" 0 (List.length findings);
   (* A suppression for one rule does not silence another. *)
-  let wrong_rule = "(* lint: allow option-get *)\nlet x = List.hd xs\n" in
-  check_fires "list-partial" wrong_rule
+  check_fires "list-partial" (allow "allow option-get" ^ "let x = List.hd xs\n")
+
+let test_suppression_needs_reason () =
+  (* A directive without a justification suppresses nothing and is itself
+     reported, for the per-file rules as for the whole-program ones. *)
+  let findings = lint "(* analysis: allow list-partial *)\nlet x = List.hd xs\n" in
+  check bool "list-partial still fires" true (fired "list-partial" findings);
+  check bool "missing reason reported" true (fired "suppression-missing-reason" findings)
 
 let test_raw_parallelism_rule () =
   check_fires "raw-parallelism" "let d = Domain.spawn work\n";
@@ -215,9 +232,10 @@ let test_stdout_printf_rule () =
   (* Rendering to a string and deferring the write is the sanctioned shape. *)
   check_clean "stdout-printf" "let s = Printf.sprintf \"hi %d\" 3\n";
   check_clean "stdout-printf" "let () = Format.fprintf fmt \"hi\"\n";
-  (* The lint driver and the observability exporters own their stdout. *)
-  check_clean ~path:"lib/lint/report.ml" "stdout-printf" printf_line;
+  (* The observability exporters own their stdout; no checker library
+     prints. *)
   check_clean ~path:"lib/obs/export.ml" "stdout-printf" printf_line;
+  check_fires ~path:"lib/analysis/driver.ml" "stdout-printf" printf_line;
   (* Binaries are the edge where printing belongs. *)
   check_clean ~path:"bin/experiments.ml" "stdout-printf" printf_line
 
@@ -229,18 +247,18 @@ let test_formatting_rules () =
 (* ---------- Project-level rules ---------- *)
 
 let test_dune_flags_rule () =
-  let bare = "(library\n (name fixture))\n" in
-  (match Engine.lint_dune ~path:"lib/fixture/dune" bare with
-  | [ d ] ->
-      check string "rule id" "dune-flags" d.Rules.rule;
-      check int "points at the stanza" 1 d.Rules.line
-  | ds -> failf "expected one diagnostic, got %d" (List.length ds));
+  let lint_dune text = analyze ~dunes:[ ("lib/fixture/dune", text) ] [] in
+  (match lint_dune "(library\n (name fixture))\n" with
+  | [ f ] ->
+      check string "rule id" "dune-flags" f.Finding.rule;
+      check int "points at the stanza" 1 f.Finding.line
+  | fs -> failf "expected one finding, got %d" (List.length fs));
   let hardened =
     "(library\n (name fixture)\n (flags (:standard -w +a-4-9-40-41-42-44-45-70 -warn-error +a)))\n"
   in
-  check int "hardened is clean" 0 (List.length (Engine.lint_dune ~path:"lib/fixture/dune" hardened));
+  check int "hardened is clean" 0 (List.length (lint_dune hardened));
   check int "no stanza, no complaint" 0
-    (List.length (Engine.lint_dune ~path:"lib/fixture/dune" "(rule (alias x) (action (echo hi)))\n"))
+    (List.length (lint_dune "(rule (alias x) (action (echo hi)))\n"))
 
 let write_file path contents =
   let oc = open_out path in
@@ -248,7 +266,8 @@ let write_file path contents =
 
 let test_missing_mli_detection () =
   (* Build a tiny on-disk tree: lib/covered.{ml,mli} and lib/naked.ml. *)
-  let root = Filename.concat (Filename.get_temp_dir_name ()) "concilium_lint_fixture" in
+  let root = Filename.concat (Filename.get_temp_dir_name ()) "concilium_rules_fixture" in
+  let layers_path = Filename.concat root "layers.txt" in
   let lib = Filename.concat root "lib" in
   if not (Sys.file_exists lib) then begin
     if not (Sys.file_exists root) then Sys.mkdir root 0o755;
@@ -257,22 +276,21 @@ let test_missing_mli_detection () =
   write_file (Filename.concat lib "covered.ml") "let x = 1\n";
   write_file (Filename.concat lib "covered.mli") "val x : int\n";
   write_file (Filename.concat lib "naked.ml") "let y = 2\n";
-  let diagnostics = Engine.lint_paths [ root ] in
-  let missing =
-    List.filter (fun (d : Rules.diagnostic) -> d.Rules.rule = "missing-mli") diagnostics
-  in
-  (match missing with
-  | [ d ] ->
-      check bool "flags the uncovered module" true
-        (Filename.basename d.Rules.file = "naked.ml")
-  | ds -> failf "expected one missing-mli, got %d" (List.length ds));
+  write_file layers_path layers;
+  (match Driver.analyze_tree ~layers_path ~inject:[] ~paths:[ lib ] with
+  | Error message -> failf "analyze_tree: %s" message
+  | Ok report -> (
+      match List.filter (fun (f : Finding.t) -> f.Finding.rule = "missing-mli") report.Driver.r_findings with
+      | [ f ] ->
+          check bool "flags the uncovered module" true (Filename.basename f.Finding.file = "naked.ml")
+      | fs -> failf "expected one missing-mli, got %d" (List.length fs)));
+  Sys.remove layers_path;
   List.iter (fun f -> Sys.remove (Filename.concat lib f)) [ "covered.ml"; "covered.mli"; "naked.ml" ]
 
 (* ---------- Reporting ---------- *)
 
 let test_json_output () =
-  let diagnostics = lint "let x = List.hd xs\n" in
-  let json = Report.to_json diagnostics in
+  let json = Finding.to_json (lint "let x = List.hd xs\n") in
   let contains needle =
     match Str.search_forward (Str.regexp_string needle) json 0 with
     | exception Not_found -> false
@@ -280,21 +298,17 @@ let test_json_output () =
   in
   check bool "has rule field" true (contains "\"rule\": \"list-partial\"");
   check bool "has file field" true (contains "\"file\": \"lib/fixture/fake.ml\"");
-  check bool "has severity" true (contains "\"severity\": \"error\"");
-  check bool "escapes quotes" true (contains "\\\"" || not (contains "\"msg"))
+  check bool "has an empty trail" true (contains "\"trail\": []");
+  check bool "parses as JSON" true (Result.is_ok (Json.parse json))
 
 let test_catalog_covers_families () =
   let families =
     List.sort_uniq String.compare
       (List.map (fun (_, family, _) -> Rules.family_to_string family) Rules.catalog)
   in
-  check (list string) "all four families represented"
-    [ "determinism"; "hygiene"; "partiality"; "polymorphic-compare" ]
+  check (list string) "every family represented"
+    [ "determinism"; "hygiene"; "layering"; "partiality"; "polymorphic-compare"; "pool-safety" ]
     families
-
-let test_errors_filter () =
-  let diagnostics = lint "let x = Option.get o\n" in
-  check bool "errors subset non-empty" true (Engine.errors diagnostics <> [])
 
 let suites =
   [
@@ -325,6 +339,7 @@ let suites =
       [
         test_case "partial accessors" `Quick test_partiality_rules;
         test_case "suppression scoping" `Quick test_suppression_scope;
+        test_case "suppression without a reason is reported" `Quick test_suppression_needs_reason;
       ] );
     ( "lint.hygiene",
       [
@@ -338,6 +353,5 @@ let suites =
       [
         test_case "json output" `Quick test_json_output;
         test_case "catalog families" `Quick test_catalog_covers_families;
-        test_case "errors filter" `Quick test_errors_filter;
       ] );
   ]

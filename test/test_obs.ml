@@ -5,6 +5,8 @@ module Trace = Concilium_obs.Trace
 module Metrics = Concilium_obs.Metrics
 module Collector = Concilium_obs.Collector
 module Export = Concilium_obs.Export
+module Flight = Concilium_obs.Flight
+module Json = Concilium_util.Json
 module World = Concilium_core.World
 module Protocol = Concilium_core.Protocol
 module Dht = Concilium_core.Dht
@@ -126,6 +128,31 @@ let test_export_helpers () =
         String.split_on_char '\n' filtered |> List.filter (fun l -> l <> "")
       in
       check Alcotest.int "filter keeps only probe records" 1 (List.length lines)
+
+(* Control bytes and UTF-8 must export as standard JSON, not OCaml's %S
+   escapes, and survive a parse round trip. *)
+let test_exports_are_json () =
+  let odd = "a\001\195\169" in
+  let parse line =
+    match Json.parse line with
+    | Ok v -> v
+    | Error message -> Alcotest.failf "%s: %s" message line
+  in
+  let field name v = Option.bind (Json.member name v) Json.string_value in
+  let t = Trace.create () in
+  let flight = Flight.create () in
+  Trace.set_tap t (Flight.note flight);
+  Trace.instant t ~time:1.0 ~args:[ ("why", Trace.String odd) ] odd;
+  let record = parse (String.trim (Trace.jsonl t)) in
+  check Alcotest.(option string) "trace name round-trips" (Some odd) (field "name" record);
+  check Alcotest.(option string) "trace arg round-trips" (Some odd)
+    (Option.bind (Json.member "args" record) (field "why"));
+  match String.split_on_char '\n' (Flight.dump ~reason:odd flight) with
+  | header :: line :: _ ->
+      check Alcotest.(option string) "flight reason round-trips" (Some odd)
+        (Option.bind (Json.member "flight_recorder" (parse header)) (field "reason"));
+      check Alcotest.(option string) "flight line round-trips" (Some odd) (field "name" (parse line))
+  | _ -> Alcotest.fail "flight dump has no entries"
 
 (* ---------- Metrics: merging shards equals one collector ---------- *)
 
@@ -349,6 +376,7 @@ let suites =
       [
         Alcotest.test_case "jsonl and chrome shapes" `Quick test_jsonl_and_chrome_shapes;
         Alcotest.test_case "path formats and filters" `Quick test_export_helpers;
+        Alcotest.test_case "control bytes and UTF-8 export as JSON" `Quick test_exports_are_json;
       ] );
     ( "obs.metrics",
       [

@@ -11,7 +11,7 @@ module Trace = Concilium_obs.Trace
 module Metrics = Concilium_obs.Metrics
 module Flight = Concilium_obs.Flight
 module Timeseries = Concilium_obs.Timeseries
-module Json = Concilium_check.Json
+module Json = Concilium_util.Json
 module World = Concilium_core.World
 module Protocol = Concilium_core.Protocol
 module Blame = Concilium_core.Blame
