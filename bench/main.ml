@@ -134,9 +134,14 @@ let blame_eq2_bench =
     (Staged.stage @@ fun () ->
      let store = Lazy.force observation_fixture in
      for i = 1 to 10 do
+       let selection =
+         Blame.select_votes Blame.paper_config ~observations:store ~links:[| 1; 2; 3; 4; 5 |]
+           ~drop_time:(600. *. float_of_int i) ~visible:(fun _ -> true) ~exclude:(Some 0)
+           ~one_vote_per_prober:false
+       in
        ignore
-         (Blame.blame Blame.paper_config ~observations:store ~links:[| 1; 2; 3; 4; 5 |]
-            ~drop_time:(600. *. float_of_int i) ~exclude_prober:0 ())
+         (Blame.blame_of_observations Blame.paper_config
+            ~grouped:(Blame.grouped_votes selection))
      done)
 
 let minc_bench =

@@ -36,6 +36,7 @@ module Trace = Concilium_obs.Trace
 module Export = Concilium_obs.Export
 module Flight = Concilium_obs.Flight
 module Timeseries = Concilium_obs.Timeseries
+module Metrics = Concilium_obs.Metrics
 module Prov_graph = Concilium_provenance.Graph
 module Validation = Concilium_core.Validation
 module Strategy = Concilium_adversary.Strategy
@@ -213,11 +214,11 @@ type tally = {
 }
 
 type adversary_tally = {
-  mutable forced_drops : int;
-  mutable lies : int;
-  mutable route_rewrites : int;
-  mutable advert_rewrites : int;
-  mutable forged_reports : int;
+  forced_drops : int;
+  lies : int;
+  route_rewrites : int;
+  advert_rewrites : int;
+  forged_reports : int;
   mutable adversary_blamed : int;  (* episodes settling on a compromised node *)
   mutable victim_blamed : int;  (* episodes settling on a framing/eclipse victim *)
   mutable compromised_accusations : int;  (* durable accusations naming colluders *)
@@ -263,42 +264,17 @@ let mask_of_nodes node_count nodes =
   Array.iter (fun v -> if v >= 0 && v < node_count then mask.(v) <- true) nodes;
   mask
 
-(* Counting wrappers around the compiled strategy's taps: the per-scenario
-   action counters feed both the transcript and the adversary-inert
-   invariant, without reaching into the shared metrics registry. *)
-let counting_taps base adv =
+(* The strategy's action counts, as Protocol tallies them at its tap call
+   sites into the scenario's own collector. *)
+let with_tap_counts (obs : Collector.t) adv =
+  let count name = Metrics.counter obs.Collector.metrics ("adversary." ^ name) in
   {
-    Protocol.tap_route =
-      (fun ~time ~from ~dest route ->
-        match base.Protocol.tap_route ~time ~from ~dest route with
-        | Some _ as rewritten ->
-            adv.route_rewrites <- adv.route_rewrites + 1;
-            rewritten
-        | None -> None);
-    tap_forward =
-      (fun ~time ~node ~sender ~next ->
-        match base.Protocol.tap_forward ~time ~node ~sender ~next with
-        | Some Protocol.Tap_drop as forced ->
-            adv.forced_drops <- adv.forced_drops + 1;
-            forced
-        | other -> other);
-    tap_observation =
-      (fun ~time ~prober ~link ~up ->
-        let reported = base.Protocol.tap_observation ~time ~prober ~link ~up in
-        if reported <> up then adv.lies <- adv.lies + 1;
-        reported);
-    tap_advertised_peers =
-      (fun ~time ~node peers ->
-        match base.Protocol.tap_advertised_peers ~time ~node peers with
-        | Some _ as rewritten ->
-            adv.advert_rewrites <- adv.advert_rewrites + 1;
-            rewritten
-        | None -> None);
-    tap_forged_reports =
-      (fun ~time ~prober ->
-        let forged = base.Protocol.tap_forged_reports ~time ~prober in
-        adv.forged_reports <- adv.forged_reports + List.length forged;
-        forged);
+    adv with
+    forced_drops = count "forced_drops";
+    lies = count "lies";
+    route_rewrites = count "route_rewrites";
+    advert_rewrites = count "advert_rewrites";
+    forged_reports = count "forged_reports";
   }
 
 let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
@@ -435,7 +411,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
         @ [ Chaos.Burst_loss { links = framed_links; start = 60.; duration = scenario.duration } ]
     in
     let strategy = Strategy.compile ~world ~rng:strategy_rng ~forge_copies:6 adversary_plan in
-    let taps = counting_taps (Strategy.taps strategy) adv in
+    let taps = Strategy.taps strategy in
     let compromised_mask = mask_of_nodes node_count (Strategy.compromised strategy) in
     let victim_mask = mask_of_nodes node_count (Strategy.victims strategy) in
     let sampler_mask = mask_of_nodes node_count (Strategy.biased_samplers strategy) in
@@ -614,7 +590,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
       faults = Chaos.fault_counts plan;
       adversaries = Chaos.adversary_counts adversary_plan;
       tally;
-      adv;
+      adv = with_tap_counts obs adv;
       adversary_present = adversary_plan <> [];
       adversary_detected;
       honest_accusations = !honest_accusations;
@@ -628,7 +604,7 @@ let run_scenario ~seed ~index ~rng ~obs ~timeseries ~disable scenario =
       faults = [];
       adversaries = [];
       tally;
-      adv;
+      adv = with_tap_counts obs adv;
       adversary_present = false;
       adversary_detected = false;
       honest_accusations = 0;

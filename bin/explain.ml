@@ -1,12 +1,13 @@
 (* Verdict provenance explainer: read a provenance JSONL dump (written by
-   chaos.exe/concilium-sim --provenance, or streamed into a flight
-   recorder), render the causal chain behind any verdict as text, JSON or
-   DOT, and -- the part CI cares about -- re-validate every verdict by
-   replaying its recorded evidence through the Blame calculus.
+   chaos.exe --provenance, or streamed into a flight recorder), render the
+   causal chain behind any verdict as text, JSON or DOT, and -- the part CI
+   cares about -- re-validate every verdict by replaying its recorded
+   evidence through the Blame calculus.
 
    Replay is bit-exact: a verdict node's probe children are the precise
-   votes the judge counted (post defense knobs), in counting order, so
-   grouping them by link and feeding them to Blame.blame_of_observations
+   votes the judge counted (Blame.select_votes, after the defense knobs),
+   in counting order, so grouping them by link and feeding them to
+   Blame.blame_of_observations
    must reproduce the recorded blame to the last IEEE bit and the recorded
    verdict exactly. Any divergence means the protocol's provenance lies
    about what it did -- a bug, not a tolerance. The --inject-bug flag

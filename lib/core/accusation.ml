@@ -72,7 +72,7 @@ let serialize_body b =
 
 (* Votes grouped per path link, excluding the accused's own contributions —
    the layout Blame.blame_of_observations expects. *)
-let grouped_votes ~accused ~config:_ evidence =
+let grouped_votes ~accused evidence =
   Array.map
     (fun link ->
       match List.find_opt (fun le -> le.link = link) evidence.link_votes with
@@ -84,7 +84,7 @@ let grouped_votes ~accused ~config:_ evidence =
     evidence.path_links
 
 let compute_blame ~accused ~config evidence =
-  Blame.blame_of_observations config ~grouped:(grouped_votes ~accused ~config evidence)
+  Blame.blame_of_observations config ~grouped:(grouped_votes ~accused evidence)
 
 let make ~accuser ~secret ~public ~accused ~config ~evidence ~supporting ~now =
   let blame = compute_blame ~accused ~config evidence in
@@ -101,10 +101,6 @@ type rejection =
   | Blame_mismatch
   | Below_threshold
   | Weak_supporting_evidence
-
-let recompute_blame t =
-  let b = Signed.payload t in
-  compute_blame ~accused:b.accused ~config:b.config b.evidence
 
 let verify pki t =
   let b = Signed.payload t in

@@ -9,8 +9,17 @@
         (sum over p in probes(l) of [p.up*(1-a) + (1-p.up)*a]) / |probes(l)|
 
     where a is probe accuracy and max is fuzzy-logic OR. Blame for B is the
-    complement: Pr(B faulty) = 1 - Pr(B->C bad). B's own probe results are
-    excluded so B cannot exculpate itself with fabricated data. *)
+    complement: Pr(B faulty) = 1 - Pr(B->C bad).
+
+    A judgment is computed in two steps. {!select_votes} picks the votes
+    the judge counts per path link: the window, the probers whose
+    snapshots the judge holds, and the two anti-gaming defenses (B's own
+    results are excluded so B cannot exculpate itself with fabricated
+    data; one vote per prober collapses ballot stuffing). The pure kernel
+    ({!path_bad_confidence}, {!blame_of_observations}) then folds those
+    votes. The protocol's verdicts, its archived evidence, accusation
+    re-verification and provenance replay all go through that one
+    kernel. *)
 
 module Observation = Concilium_tomography.Observation
 
@@ -27,49 +36,44 @@ val link_bad_confidence : accuracy:float -> up_votes:int -> down_votes:int -> fl
 (** The inner average of Equation 3 for one link: each "up" probe
     contributes (1 - a), each "down" probe contributes a. *)
 
-val dedup_votes : (int * bool) list -> (int * bool) list
-(** One vote per prober: each prober keeps its latest vote in the list
-    (votes are oldest-first as produced by [Observation.on_link]), at its
-    first-occurrence position. This is the ballot-stuffing defense — a
-    compromised prober that floods duplicate corroborating reports into a
-    judgment window collapses back to a single voice. *)
+type selection = {
+  votes : Observation.observation list array;
+      (** [votes.(i)] are the counted votes on the i-th path link, oldest
+          first; a link repeated in the path keeps its own group *)
+  excluded : int;  (** visible votes removed as the suspect's own *)
+  deduped : int;  (** votes collapsed by one-vote-per-prober *)
+}
 
-val path_bad_confidence :
+val select_votes :
   config ->
   observations:Observation.t ->
   links:int array ->
   drop_time:float ->
-  exclude_prober:int ->
-  ?visible:(int -> bool) ->
-  ?one_vote_per_prober:bool ->
-  unit ->
-  float
+  visible:(int -> bool) ->
+  exclude:int option ->
+  one_vote_per_prober:bool ->
+  selection
+(** The votes one judgment counts on each link of the path: observations
+    in [drop_time - delta, drop_time + delta] from probers [visible] to the
+    judge, minus those of the prober [exclude] names (the suspect, when
+    the self-exculpation defense is on). Under [one_vote_per_prober] each
+    prober keeps only its latest vote on the link, at its first-occurrence
+    position — a compromised prober flooding duplicate reports into the
+    window collapses back to a single voice. *)
+
+val grouped_votes : selection -> (int * bool) list array
+(** The selection as (prober, up) votes, the layout the kernel folds. *)
+
+val path_bad_confidence : config -> grouped:(int * bool) list array -> float
 (** Equation 3 over a full path: the fuzzy OR (max) across links of the
-    per-link confidence. Links with no probe results in the window are
-    skipped; if no link has any result the confidence is 0 (nothing
-    suggests the network failed, so the forwarder absorbs the blame).
-    [visible] restricts the probers whose snapshots the judge actually
-    holds (default: everyone); the judged node is excluded regardless.
-    [one_vote_per_prober] (default false) applies {!dedup_votes} per link
-    before averaging. *)
+    per-link confidence, where [grouped.(i)] lists (prober, up) votes for
+    the i-th link. Links with no votes are skipped; if no link has any the
+    confidence is 0 (nothing suggests the network failed, so the forwarder
+    absorbs the blame). The caller has already applied windowing and
+    prober exclusion. *)
 
-val blame :
-  config ->
-  observations:Observation.t ->
-  links:int array ->
-  drop_time:float ->
-  exclude_prober:int ->
-  ?visible:(int -> bool) ->
-  ?one_vote_per_prober:bool ->
-  unit ->
-  float
+val blame_of_observations : config -> grouped:(int * bool) list array -> float
 (** Equation 2: 1 - {!path_bad_confidence}. *)
-
-val blame_of_observations :
-  config -> grouped:(int * bool) list array -> float
-(** Pure form used by accusation verification: [grouped.(i)] lists
-    (prober, up) votes for the i-th link; returns 1 - max-link confidence.
-    The caller has already applied windowing and prober exclusion. *)
 
 type verdict = Guilty | Innocent
 

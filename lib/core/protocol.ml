@@ -38,7 +38,6 @@ type config = {
   retry_limit : int;
   retry_base_delay : float;
   retry_backoff : float;
-  evidence_ttl : float;
   exclude_suspect_probes : bool;
   one_vote_per_prober : bool;
   validation_gamma_jump : float;
@@ -58,7 +57,6 @@ let default_config =
     retry_limit = 2;
     retry_base_delay = 1.;
     retry_backoff = 2.;
-    evidence_ttl = Float.infinity;
     exclude_suspect_probes = true;
     one_vote_per_prober = true;
     validation_gamma_jump = 1.3;
@@ -552,80 +550,33 @@ let window_for t ~judge ~suspect =
 let visible_to t judge prober =
   prober = judge || Array.exists (( = ) prober) t.world.World.peers.(judge)
 
-(* Mirror of [Blame.dedup_votes] over raw observations: one observation per
-   prober, the prober's latest winning, first-occurrence positions
-   preserved. The archived evidence must count exactly the votes the
-   verdict counted, or [Accusation.make]'s recomputation would diverge
-   from the judge's own arithmetic. *)
-let dedup_observations obs_list =
-  let rec update acc obs =
-    match acc with
-    | [] -> [ obs ]
-    | o :: rest when o.Observation.prober = obs.Observation.prober -> obs :: rest
-    | o :: rest -> o :: update rest obs
+(* The votes one judgment counts on each link: the judge's visible forest
+   in the blame window, under the configured defenses. The verdict, the
+   archived evidence and the verdict's provenance all read this one
+   selection. *)
+let select_votes t ~judge ~suspect ~links ~drop_time =
+  Blame.select_votes t.config.blame ~observations:t.observations ~links ~drop_time
+    ~visible:(visible_to t judge)
+    ~exclude:(if t.config.exclude_suspect_probes then Some suspect else None)
+    ~one_vote_per_prober:t.config.one_vote_per_prober
+
+(* The signed per-link votes a judge can present as evidence: the counted
+   votes, re-signed here as they would appear inside the provers' archived
+   snapshots. *)
+let sign_evidence t ~links ~drop_time ~commitment selection =
+  let sign (obs : Observation.observation) =
+    Accusation.make_vote ~prober:(World.id_of t.world obs.prober)
+      ~secret:t.world.World.secrets.(obs.prober)
+      ~public:(World.public_key_of t.world obs.prober)
+      ~link:obs.link ~time:obs.time ~up:obs.up
   in
-  List.fold_left update [] obs_list
-
-(* Provenance of one judgment's evidence: the arena nodes of the exact
-   votes that were counted (post defense filtering, in vote order), and
-   how many candidate votes each defense knob removed. *)
-type prov_evidence = {
-  probes : Prov.node list;
-  excluded : int;  (** removed by [exclude_suspect_probes] *)
-  deduped : int;  (** collapsed by [one_vote_per_prober] *)
-}
-
-(* Collect the signed per-link votes a judge can present as evidence: the
-   window-relevant observations of its own forest, re-signed here as they
-   would appear inside the provers' archived snapshots. Also returns the
-   evidence's provenance so the verdict node can cite the exact votes. *)
-let gather_evidence t ~judge ~suspect ~links ~drop_time ~commitment =
-  let lo = drop_time -. t.config.blame.Blame.delta in
-  let hi = drop_time +. t.config.blame.Blame.delta in
-  let excluded = ref 0 in
-  let deduped = ref 0 in
-  let probes = ref [] in
   let link_votes =
-    Array.to_list links
-    |> List.filter_map (fun link ->
-           let visible =
-             List.filter
-               (fun obs -> visible_to t judge obs.Observation.prober)
-               (Observation.on_link t.observations ~link ~lo ~hi)
-           in
-           let kept =
-             List.filter
-               (fun obs ->
-                 let keep =
-                   not (t.config.exclude_suspect_probes && obs.Observation.prober = suspect)
-                 in
-                 if not keep then incr excluded;
-                 keep)
-               visible
-           in
-           let usable = if t.config.one_vote_per_prober then dedup_observations kept else kept in
-           deduped := !deduped + (List.length kept - List.length usable);
-           if Prov.enabled t.obs.Obs.prov then
-             List.iter
-               (fun obs ->
-                 match prov_probe_of t obs with
-                 | Some node -> probes := node :: !probes
-                 | None -> ())
-               usable;
-           let votes =
-             List.map
-               (fun obs ->
-                 let prober = obs.Observation.prober in
-                 Accusation.make_vote ~prober:(World.id_of t.world prober)
-                   ~secret:t.world.World.secrets.(prober)
-                   ~public:(World.public_key_of t.world prober)
-                   ~link ~time:obs.Observation.time ~up:obs.Observation.up)
-               usable
-           in
-           if votes = [] then None else Some { Accusation.link; votes })
+    List.filter_map
+      (fun (link, counted) ->
+        if counted = [] then None else Some { Accusation.link; votes = List.map sign counted })
+      (List.combine (Array.to_list links) (Array.to_list selection.Blame.votes))
   in
-  ( { Accusation.path_links = links; link_votes; drop_time; commitment },
-    { probes = List.rev !probes; excluded = !excluded; deduped = !deduped } )
+  { Accusation.path_links = links; link_votes; drop_time; commitment }
 
 (* Phase A of a judgment: compute the verdict and archive-ready evidence
    without touching any window. Windows are only charged (phase B, below)
@@ -633,40 +584,43 @@ let gather_evidence t ~judge ~suspect ~links ~drop_time ~commitment =
    reaches the judge's books instead of silently accruing guilt against an
    honest forwarder. *)
 let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment =
-  (* The Section 3.4 self-exculpation defense: the suspect's own probe
-     reports never count towards its own judgment. [-1] never matches a
-     real prober, so the defense-off soak canary can observe the attack. *)
-  let exclude = if t.config.exclude_suspect_probes then suspect else -1 in
+  let selection = select_votes t ~judge ~suspect ~links ~drop_time in
   let blame =
-    Blame.blame t.config.blame ~observations:t.observations ~links ~drop_time
-      ~exclude_prober:exclude ~visible:(visible_to t judge)
-      ~one_vote_per_prober:t.config.one_vote_per_prober ()
+    Blame.blame_of_observations t.config.blame ~grouped:(Blame.grouped_votes selection)
   in
   let verdict = Blame.verdict_of_blame t.config.blame blame in
   Log.debug (fun m ->
       m "node %d judges %d: blame %.3f -> %a" judge suspect blame Blame.pp_verdict verdict);
-  let evidence, prov_info = gather_evidence t ~judge ~suspect ~links ~drop_time ~commitment in
-  (verdict, blame, evidence, prov_info)
+  (verdict, blame, sign_evidence t ~links ~drop_time ~commitment selection, selection)
 
 (* Hang a verdict node's evidence under it: defense interventions first,
    then the counted votes in vote order, then episode-scoped events (tap
    firings, steward failover). The edge order is part of the byte-stable
-   output contract. *)
-let attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info ~events =
-  if prov_info.excluded > 0 then
+   output contract. Probe nodes are looked up here, after the judgment:
+   both run in the same judgment event, and no probe is recorded between
+   them. *)
+let attach_verdict_evidence t vnode ~judge ~suspect ~selection ~events =
+  let prov = t.obs.Obs.prov in
+  if selection.Blame.excluded > 0 then
     Prov.edge prov ~parent:vnode
       ~child:
-        (Prov.defense prov ~kind:Prov.Exclude_suspect ~removed:prov_info.excluded ~judge ~suspect);
-  if prov_info.deduped > 0 then
+        (Prov.defense prov ~kind:Prov.Exclude_suspect ~removed:selection.Blame.excluded ~judge
+           ~suspect);
+  if selection.Blame.deduped > 0 then
     Prov.edge prov ~parent:vnode
-      ~child:(Prov.defense prov ~kind:Prov.Vote_dedup ~removed:prov_info.deduped ~judge ~suspect);
-  List.iter (fun probe -> Prov.edge prov ~parent:vnode ~child:probe) prov_info.probes;
+      ~child:
+        (Prov.defense prov ~kind:Prov.Vote_dedup ~removed:selection.Blame.deduped ~judge ~suspect);
+  Array.iter
+    (List.iter (fun obs ->
+         match prov_probe_of t obs with
+         | Some probe -> Prov.edge prov ~parent:vnode ~child:probe
+         | None -> ()))
+    selection.Blame.votes;
   List.iter (fun event -> Prov.edge prov ~parent:vnode ~child:event) events
 
 (* Phase B: charge the verdict window and escalate to a formal accusation
-   when it crosses m. Evidence past its re-verification TTL is expired
-   first; publication fails over across the accused key's live DHT
-   replicas. *)
+   when it crosses m; publication fails over across the accused key's live
+   DHT replicas. *)
 let verdict_label = function Blame.Guilty -> "guilty" | Blame.Innocent -> "innocent"
 
 let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~episode ~vnode =
@@ -677,8 +631,6 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
     Hashtbl.replace t.prov_verdicts (judge, suspect, Int64.bits_of_float drop_time) vnode;
   let window = window_for t ~judge ~suspect in
   Verdict_window.record window { Verdict_window.verdict; blame; drop_time; evidence };
-  if Float.is_finite t.config.evidence_ttl then
-    Verdict_window.expire window ~before:(drop_time -. t.config.evidence_ttl);
   Metrics.observe metrics "verdict_window.occupancy"
     (float_of_int (Verdict_window.length window));
   (match verdict with
@@ -1077,12 +1029,11 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       | Some path -> path.Routes.links
                       | None -> [||]
                     in
-                    let exclude = if t.config.exclude_suspect_probes then b else -1 in
                     let confidence =
-                      Blame.path_bad_confidence t.config.blame ~observations:t.observations
-                        ~links ~drop_time ~exclude_prober:exclude
-                        ~visible:(visible_to t a)
-                        ~one_vote_per_prober:t.config.one_vote_per_prober ()
+                      Blame.path_bad_confidence t.config.blame
+                        ~grouped:
+                          (Blame.grouped_votes
+                             (select_votes t ~judge:a ~suspect:b ~links ~drop_time))
                     in
                     if confidence >= 1. -. t.config.blame.Blame.guilt_threshold then
                       Hashtbl.replace judgments a
@@ -1109,7 +1060,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       | None -> [||]
                     end
                   in
-                  let verdict, blame, evidence, prov_info =
+                  let verdict, blame, evidence, selection =
                     let blame_span =
                       Trace.span_open trace ~time:jt ~cat:"blame" ~parent:episode
                         ~args:[ ("judge", Trace.Int a); ("suspect", Trace.Int b) ]
@@ -1133,7 +1084,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                        cover the window. Zero evidence defaults blame onto
                        the forwarder, so abstaining beats judging: degrade
                        to an explicit Insufficient_evidence outcome. *)
-                    if !starved = None then starved := Some (a, b, usable.(i), blame, prov_info)
+                    if !starved = None then starved := Some (a, b, usable.(i), blame, selection)
                   end
                   else begin
                     let target =
@@ -1143,7 +1094,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                     in
                     Hashtbl.replace judgments a
                       { Stewardship.judge = a; target; blame; evidence_valid = true; pushed };
-                    pending := (a, b, verdict, blame, evidence, prov_info, usable.(i)) :: !pending
+                    pending := (a, b, verdict, blame, evidence, selection, usable.(i)) :: !pending
                   end
             end
           end
@@ -1184,7 +1135,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
           | Some first_judge -> Diagnosed (resolve_with ~first_judge)
           | None -> (
               match (!starved, !no_commitment) with
-              | Some (judge, suspect, usable_rounds, starved_blame, prov_info), None ->
+              | Some (judge, suspect, usable_rounds, starved_blame, selection), None ->
                   (* An abstention is still a verdict with provenance: its
                      chain shows what little evidence existed (often none,
                      or votes a defense knob removed) and why replaying it
@@ -1194,7 +1145,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                       Prov.verdict prov ~judge ~suspect ~kind:Prov.Insufficient
                         ~exonerated:false ~usable_rounds ~blame:starved_blame ~drop_time
                     in
-                    attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info
+                    attach_verdict_evidence t vnode ~judge ~suspect ~selection
                       ~events:episode_events
                   end;
                   Insufficient_evidence { judge; usable_rounds; required_rounds = required }
@@ -1210,7 +1161,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
           | Insufficient_evidence _ -> []
         in
         List.iter
-          (fun (judge, suspect, verdict, blame, evidence, prov_info, usable_rounds) ->
+          (fun (judge, suspect, verdict, blame, evidence, selection, usable_rounds) ->
             let was_exonerated =
               match verdict with
               | Blame.Guilty -> List.mem suspect exonerated
@@ -1229,7 +1180,7 @@ let send_message t ~from ~dest ~payload ~on_outcome =
                   Prov.verdict prov ~judge ~suspect ~kind ~exonerated:was_exonerated
                     ~usable_rounds ~blame ~drop_time
                 in
-                attach_verdict_evidence prov vnode ~judge ~suspect ~prov_info
+                attach_verdict_evidence t vnode ~judge ~suspect ~selection
                   ~events:episode_events;
                 vnode
               end

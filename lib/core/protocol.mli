@@ -49,17 +49,15 @@ type config = {
   retry_limit : int;  (** retransmits after the first unacknowledged attempt *)
   retry_base_delay : float;  (** seconds before the first retransmit *)
   retry_backoff : float;  (** multiplier per further retransmit (bounded) *)
-  evidence_ttl : float;
-      (** window entries whose evidence is older than this are expired
-          before accusation checks; [infinity] disables *)
   exclude_suspect_probes : bool;
       (** the Section 3.4 defense: a suspect's own probe reports never
           count towards its own judgment or evidence. Default [true];
           adversarial soaks disable it to demonstrate self-exculpation *)
   one_vote_per_prober : bool;
       (** the ballot-stuffing defense: per link, each prober's latest
-          in-window observation is its only vote ({!Blame.dedup_votes}),
-          applied identically to verdicts and archived evidence. Default
+          in-window observation is its only vote. {!Blame.select_votes}
+          applies it once per judgment, and the verdict, the archived
+          evidence and the provenance all read that one selection. Default
           [true]; disabling lets forged duplicate reports stack *)
   validation_gamma_jump : float;
       (** jump-table density slack used when validating routing-state
@@ -71,9 +69,10 @@ val default_config : config
 (** Paper parameters: a=0.9, Delta=60 s, threshold 0.4, w=100, m=6,
     max_probe_time=120 s, 4 replicas, 50 heavyweight rounds at a 30%%
     loss threshold; plus runtime hardening defaults: 2 retransmits at
-    1 s/2x backoff, probe backoff capped at 4x, 10-round burst floor, no
-    evidence TTL; all three anti-gaming defenses on
-    ([exclude_suspect_probes], [one_vote_per_prober], gamma_jump 1.3). *)
+    1 s/2x backoff, probe backoff capped at 4x, 10-round burst floor; all
+    three anti-gaming defenses on ([exclude_suspect_probes],
+    [one_vote_per_prober], gamma_jump 1.3). A verdict window keeps its
+    newest w entries and never expires evidence by age. *)
 
 type forward_decision = Tap_forward | Tap_drop
 

@@ -62,22 +62,3 @@ let resolve ~first_judge ~judgment_of =
   in
   Hashtbl.replace visited first_judge ();
   walk [] 0 ~own_verdict:(judgment_of first_judge)
-
-let chain_of_route ~hops ~faulty ~judge =
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  let rec saw_message acc = function
-    | [] -> List.rev acc
-    | (a, b) :: rest ->
-        (* Hop a saw the message; it judges b. If a is the faulty hop it
-           dropped the message, so nobody downstream saw it. *)
-        if faulty a then List.rev acc
-        else begin
-          match judge ~judge:a ~suspect:b with
-          | Some j -> saw_message (j :: acc) rest
-          | None -> saw_message acc rest
-        end
-  in
-  saw_message [] (pairs hops)

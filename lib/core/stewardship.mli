@@ -46,11 +46,3 @@ val resolve : first_judge:int -> judgment_of:(int -> judgment option) -> resolut
 (** Walk the revision chain starting from the original sender's judgment.
     [judgment_of] returns a node's (pushed or retrievable) verdict for this
     message, if it issued one. Cycle-safe. *)
-
-val chain_of_route :
-  hops:int list -> faulty:(int -> bool) -> judge:(judge:int -> suspect:int -> judgment option) ->
-  judgment list
-(** Helper for simulations: given the overlay hops of a route (sender
-    first) and the ground-truth drop point, produce the judgment each hop
-    that actually *saw* the message would issue (hops after the drop point
-    never saw it and judge nothing). *)

@@ -1,4 +1,5 @@
 module World = Concilium_core.World
+module Blame = Concilium_core.Blame
 module Bandwidth = Concilium_core.Bandwidth
 module Tree = Concilium_tomography.Tree
 module Probe_sharing = Concilium_tomography.Probe_sharing
@@ -54,10 +55,11 @@ let delta_sensitivity ?pool ~world ~deltas ~samples ~seed () =
   let configs =
     Array.map
       (fun delta ->
+        let base = Blame_world.paper_config ~colluding_fraction:0. ~seed in
         {
-          (Blame_world.paper_config ~colluding_fraction:0. ~seed) with
+          base with
           Blame_world.duration = short_duration;
-          delta;
+          blame = { base.Blame_world.blame with Blame.delta };
         })
       deltas
   in

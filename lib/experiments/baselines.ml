@@ -1,3 +1,4 @@
+module Blame = Concilium_core.Blame
 module Prng = Concilium_util.Prng
 module Pool = Concilium_util.Pool
 
@@ -35,7 +36,7 @@ let run_shard blame_world ~rng ~quota =
     | Some judgment ->
         incr collected;
         let says_node =
-          judgment.Blame_world.blame >= config.Blame_world.guilt_threshold
+          judgment.Blame_world.blame >= config.Blame_world.blame.Blame.guilt_threshold
         in
         if judgment.Blame_world.path_actually_good then begin
           (* Ground truth: the forwarder dropped it. *)

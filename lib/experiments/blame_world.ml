@@ -1,4 +1,5 @@
 module World = Concilium_core.World
+module Blame = Concilium_core.Blame
 module Prng = Concilium_util.Prng
 module Hashing = Concilium_util.Hashing
 module Sorted = Concilium_util.Sorted
@@ -12,9 +13,7 @@ module Pool = Concilium_util.Pool
 type config = {
   duration : float;
   max_probe_time : float;
-  accuracy : float;
-  delta : float;
-  guilt_threshold : float;
+  blame : Blame.config;
   colluding_fraction : float;
   corroboration : float;
   exclude_suspect_probes : bool;
@@ -26,9 +25,7 @@ let paper_config ~colluding_fraction ~seed =
   {
     duration = 7200.;
     max_probe_time = 120.;
-    accuracy = 0.9;
-    delta = 60.;
-    guilt_threshold = 0.4;
+    blame = Blame.paper_config;
     colluding_fraction;
     corroboration = 1.;
     exclude_suspect_probes = true;
@@ -88,7 +85,6 @@ let create ~world config =
 
 let world t = t.world
 let config t = t.config
-let is_malicious t v = t.malicious.(v)
 
 let mean_bad_fraction t =
   Failures.mean_bad_fraction t.failures ~duration:t.config.duration ~samples:64
@@ -102,7 +98,7 @@ let misclassifies t ~prober ~link ~probe_index =
   let h = Hashing.fnv1a_int h (Int64.of_int probe_index) in
   let h = Hashing.fnv1a_int h t.config.seed in
   let noise_rng = Prng.of_seed h in
-  Prng.uniform noise_rng > t.config.accuracy
+  Prng.uniform noise_rng > t.config.blame.Blame.accuracy
 
 (* Whether a colluder actually lies on this observation. At corroboration
    1.0 (the paper's Figure 5(b) setting) the short-circuit keeps the
@@ -135,7 +131,8 @@ let judge t ~judge:a ~suspect:b ~next_hop:c ~time =
   | None -> None
   | Some path ->
       let links = path.Routes.links in
-      let lo = time -. t.config.delta and hi = time +. t.config.delta in
+      let { Blame.accuracy; delta; _ } = t.config.blame in
+      let lo = time -. delta and hi = time +. delta in
       let visible prober =
         t.config.global_visibility || prober = a || Hashtbl.mem t.peer_sets.(a) prober
       in
@@ -177,15 +174,10 @@ let judge t ~judge:a ~suspect:b ~next_hop:c ~time =
                 done
               end)
             (World.vouchers t.world ~link);
-          let total = !up_votes + !down_votes in
-          if total > 0 then begin
-            let confidence =
-              ((float_of_int !up_votes *. (1. -. t.config.accuracy))
-              +. (float_of_int !down_votes *. t.config.accuracy))
-              /. float_of_int total
-            in
-            if confidence > !worst then worst := confidence
-          end)
+          let confidence =
+            Blame.link_bad_confidence ~accuracy ~up_votes:!up_votes ~down_votes:!down_votes
+          in
+          if confidence > !worst then worst := confidence)
         links;
       let path_actually_good =
         Link_history.path_is_good_at t.failures.Failures.history ~links ~time
@@ -215,7 +207,8 @@ let sample_judgment t ~rng =
       if c = a || c = b then None
       else begin
         let time =
-          t.config.delta +. Prng.float rng (t.config.duration -. (2. *. t.config.delta))
+          let delta = t.config.blame.Blame.delta in
+          delta +. Prng.float rng (t.config.duration -. (2. *. delta))
         in
         judge t ~judge:a ~suspect:b ~next_hop:c ~time
       end
@@ -264,7 +257,7 @@ let run_shard t ~rng ~quota =
     match sample_judgment t ~rng with
     | None -> ()
     | Some j ->
-        let guilty = j.blame >= t.config.guilt_threshold in
+        let guilty = j.blame >= t.config.blame.Blame.guilt_threshold in
         if j.path_actually_good then begin
           (* The network is exonerated: a drop here means the suspect really
              ate the message. Under collusion the paper's droppers are the

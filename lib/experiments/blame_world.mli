@@ -1,4 +1,5 @@
 module World = Concilium_core.World
+module Blame = Concilium_core.Blame
 
 (** The Figure 5/6 experiment world: the paper's 2-virtual-hour failure
     process plus the abstracted probe model of Section 4.3 ("hosts can
@@ -24,9 +25,9 @@ module Histogram = Concilium_stats.Histogram
 type config = {
   duration : float;  (** virtual seconds (paper: 7200) *)
   max_probe_time : float;  (** paper: 120 s *)
-  accuracy : float;  (** paper: 0.9 *)
-  delta : float;  (** paper: 60 s *)
-  guilt_threshold : float;  (** paper: 0.4 *)
+  blame : Blame.config;
+      (** probe accuracy, window half-width and guilt threshold
+          (paper: {!Blame.paper_config}) *)
   colluding_fraction : float;  (** 0 = all honest; paper also studies 0.2 *)
   corroboration : float;
       (** probability a colluder lies on any given observation (1.0 — the
@@ -56,7 +57,6 @@ val create : world:World.t -> config -> t
 
 val world : t -> World.t
 val config : t -> config
-val is_malicious : t -> int -> bool
 val mean_bad_fraction : t -> float
 (** Time-averaged fraction of route-relevant links bad (target: 5%). *)
 

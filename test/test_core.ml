@@ -44,42 +44,63 @@ let store_with observations =
     observations;
   store
 
+let select ?(visible = fun _ -> true) ?exclude ?(one_vote_per_prober = false) store ~links
+    ~drop_time =
+  Blame.select_votes blame_config ~observations:store ~links ~drop_time ~visible ~exclude
+    ~one_vote_per_prober
+
+let blame_of selection =
+  Blame.blame_of_observations blame_config ~grouped:(Blame.grouped_votes selection)
+
 let test_blame_excludes_judged_node () =
   (* Only the suspect (prober 7) claims the link was down; its vote must be
      ignored, leaving an all-up view and full blame. *)
   let store = store_with [ (100., 7, 1, false); (100., 3, 1, true); (101., 4, 1, true) ] in
-  let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 1 |] ~drop_time:100.
-      ~exclude_prober:7 ()
-  in
-  checkf 1e-9 "self-exculpation ignored" 0.9 blame
+  let selection = select store ~links:[| 1 |] ~drop_time:100. ~exclude:7 in
+  checkf 1e-9 "self-exculpation ignored" 0.9 (blame_of selection);
+  check Alcotest.int "one vote excluded" 1 selection.Blame.excluded
 
 let test_blame_window_filtering () =
   let store = store_with [ (10., 1, 2, false); (500., 2, 2, false) ] in
   (* At drop time 500 only the second observation is in [440, 560]. *)
-  let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 2 |] ~drop_time:500.
-      ~exclude_prober:(-1) ()
-  in
-  checkf 1e-9 "one down vote" (1. -. 0.9) blame
+  checkf 1e-9 "one down vote" (1. -. 0.9) (blame_of (select store ~links:[| 2 |] ~drop_time:500.))
 
 let test_blame_fuzzy_or_takes_worst_link () =
   let store =
     store_with [ (100., 1, 0, true); (100., 2, 1, false); (100., 3, 2, true) ]
   in
-  let confidence =
-    Blame.path_bad_confidence blame_config ~observations:store ~links:[| 0; 1; 2 |]
-      ~drop_time:100. ~exclude_prober:(-1) ()
-  in
-  checkf 1e-9 "max over links" 0.9 confidence
+  let selection = select store ~links:[| 0; 1; 2 |] ~drop_time:100. in
+  checkf 1e-9 "max over links" 0.9
+    (Blame.path_bad_confidence blame_config ~grouped:(Blame.grouped_votes selection))
 
 let test_blame_visibility_filter () =
   let store = store_with [ (100., 5, 1, false) ] in
-  let blame =
-    Blame.blame blame_config ~observations:store ~links:[| 1 |] ~drop_time:100.
-      ~exclude_prober:(-1) ~visible:(fun prober -> prober <> 5) ()
+  let selection =
+    select store ~links:[| 1 |] ~drop_time:100. ~visible:(fun prober -> prober <> 5) ~exclude:5
   in
-  checkf 1e-9 "invisible prober ignored" 1. blame
+  checkf 1e-9 "invisible prober ignored" 1. (blame_of selection);
+  (* The exclusion count covers only votes the judge could see. *)
+  check Alcotest.int "invisible vote not counted as excluded" 0 selection.Blame.excluded
+
+let test_blame_one_vote_per_prober () =
+  (* Prober 1 votes down, then up; prober 2 votes up in between. Dedup
+     keeps prober 1's latest vote at its first-occurrence position. *)
+  let store = store_with [ (100., 1, 0, false); (101., 2, 0, true); (102., 1, 0, true) ] in
+  let votes selection =
+    Array.map
+      (List.map (fun (o : Observation.observation) -> (o.prober, o.time)))
+      selection.Blame.votes
+  in
+  let pairs = Alcotest.(array (list (pair int (float 0.)))) in
+  let deduped = select store ~links:[| 0; 0 |] ~drop_time:100. ~one_vote_per_prober:true in
+  (* A link repeated in the path keeps its own vote group. *)
+  check pairs "latest vote, first position" [| [ (1, 102.); (2, 101.) ]; [ (1, 102.); (2, 101.) ] |]
+    (votes deduped);
+  check Alcotest.int "one duplicate per group" 2 deduped.Blame.deduped;
+  checkf 1e-9 "two up votes" 0.9 (blame_of deduped);
+  let stuffed = select store ~links:[| 0 |] ~drop_time:100. in
+  check Alcotest.int "defense off collapses nothing" 0 stuffed.Blame.deduped;
+  checkf 1e-9 "every vote counts" (1. -. (1.1 /. 3.)) (blame_of stuffed)
 
 let test_verdict_threshold () =
   check Alcotest.bool "guilty" true
@@ -94,10 +115,7 @@ let prop_blame_in_unit_interval =
       let store =
         store_with (List.map (fun (prober, link, up) -> (100., prober, link, up)) raw)
       in
-      let blame =
-        Blame.blame blame_config ~observations:store ~links:[| 0; 1; 2; 3 |] ~drop_time:100.
-          ~exclude_prober:0 ()
-      in
+      let blame = blame_of (select store ~links:[| 0; 1; 2; 3 |] ~drop_time:100. ~exclude:0) in
       blame >= 0. && blame <= 1.)
 
 (* ---------- Verdict window ---------- *)
@@ -474,21 +492,6 @@ let test_stewardship_cycle_guard () =
      than loop. *)
   check Alcotest.bool "terminates" true (r.Stewardship.final <> None)
 
-let test_chain_of_route () =
-  let judgments = ref [] in
-  let judge ~judge:j ~suspect:s =
-    judgments := (j, s) :: !judgments;
-    Some (judgment j (Stewardship.Next_hop s))
-  in
-  let chain =
-    Stewardship.chain_of_route ~hops:[ 0; 1; 2; 3 ] ~faulty:(fun v -> v = 2) ~judge
-  in
-  (* Hops 0 and 1 saw the message (2 dropped it); hop 2 judges nobody
-     downstream because nothing left it. *)
-  check Alcotest.int "two judgments" 2 (List.length chain);
-  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "judge pairs"
-    [ (0, 1); (1, 2) ] (List.rev !judgments)
-
 (* ---------- Bandwidth ---------- *)
 
 let test_bandwidth_paper_numbers () =
@@ -787,6 +790,7 @@ let suites =
         Alcotest.test_case "time window" `Quick test_blame_window_filtering;
         Alcotest.test_case "fuzzy OR over links" `Quick test_blame_fuzzy_or_takes_worst_link;
         Alcotest.test_case "visibility filter" `Quick test_blame_visibility_filter;
+        Alcotest.test_case "one vote per prober" `Quick test_blame_one_vote_per_prober;
         Alcotest.test_case "verdict threshold" `Quick test_verdict_threshold;
         qtest prop_blame_in_unit_interval;
       ] );
@@ -832,7 +836,6 @@ let suites =
           test_stewardship_network_verdict_terminates;
         Alcotest.test_case "no judgment" `Quick test_stewardship_no_judgment;
         Alcotest.test_case "cycle guard" `Quick test_stewardship_cycle_guard;
-        Alcotest.test_case "chain_of_route" `Quick test_chain_of_route;
       ] );
     ( "core.bandwidth",
       [ Alcotest.test_case "Section 4.4 numbers" `Quick test_bandwidth_paper_numbers ] );
