@@ -523,7 +523,7 @@ let multicore_reps = 5
 let multicore ~out ~assert_speedup =
   let run_fig1 ?pool () = E.Fig1.run ?pool ~seed:2025L ~sizes:fig1_sizes ~trials:fig1_trials () in
   let median times =
-    let sorted = List.sort compare times in
+    let sorted = List.sort Float.compare times in
     List.nth sorted (List.length sorted / 2)
   in
   let sample f =

@@ -14,8 +14,14 @@ module Rules = Concilium_analysis.Rules
 open Cmdliner
 
 let paths =
-  let doc = "Directories or files to scan." in
-  Arg.(value & pos_all string [ "lib"; "bin"; "test" ] & info [] ~docv:"PATH" ~doc)
+  let doc =
+    "Directories or files to scan.  A directory with its own dune-project is read for \
+     reachability roots only."
+  in
+  Arg.(
+    value
+    & pos_all string [ "lib"; "bin"; "test"; "bench"; "examples"; "perfbench" ]
+    & info [] ~docv:"PATH" ~doc)
 
 let format =
   let doc = "Output format: $(b,text) or $(b,json)." in

@@ -284,10 +284,6 @@ let describe n =
   | "failover" ->
       Printf.sprintf "failover: %s via node %d (t=%.6g)" (string_field n "path")
         (int_field n "node") (float_field n "time")
-  | "consolidation" ->
-      Printf.sprintf "consolidation: link %d voted %s (%d up / %d down)" (int_field n "link")
-        (if bool_field n "up" then "up" else "down")
-        (int_field n "up_votes") (int_field n "down_votes")
   | "rebuttal" ->
       Printf.sprintf "rebuttal: accusation by node %d against node %d %s"
         (int_field n "accuser") (int_field n "accused") (string_field n "outcome")

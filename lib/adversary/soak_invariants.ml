@@ -9,6 +9,8 @@ type inputs = {
   require_detection : bool;
 }
 
+(* analysis: allow test-only — the all-clear outcome; tests change one field at a time to prove
+   each invariant fires *)
 let benign =
   {
     failure = None;

@@ -240,6 +240,8 @@ let compromised t = t.compromised
 let victims t = t.victims
 let biased_samplers t = t.biased_samplers
 
+(* analysis: allow test-only — observation point: tests check coalition membership and that
+   victims stay honest *)
 let is_compromised t v =
   v >= 0 && v < Array.length t.compromised_mask && t.compromised_mask.(v)
 

@@ -1,13 +1,16 @@
 (* Inter-module reference resolution and call-graph construction.
 
-   Qualified identifier paths are resolved through three scopes, in order:
-   local [module X = Path] aliases, the wrapped library roots
+   Qualified identifier paths are resolved through four scopes, in order:
+   local [module X = Path] aliases, the module's own nested modules (seen
+   from the caller's nesting outwards), the wrapped library roots
    ([Concilium_util.Prng.int]), and sibling modules of the same library.
-   Unqualified identifiers resolve only within their own module — an
-   [open]ed module's values are not chased (the tree under analysis opens
-   only external libraries such as Cmdliner).  Unresolvable heads are
-   external by construction (Stdlib, Str, ...) and are handled by the
-   effect scanner's intrinsic tables instead. *)
+   Unqualified identifiers resolve only within their own module, again
+   innermost nesting first — an [open]ed module's values are not chased
+   (the tree under analysis opens only external libraries such as
+   Cmdliner).  An infix operator the module defines is a call wherever its
+   symbol appears.  Unresolvable heads are external by construction
+   (Stdlib, Str, ...) and are handled by the effect scanner's intrinsic
+   tables instead. *)
 
 type key = { k_lib : string; k_mod : string; k_fn : string }
 
@@ -29,6 +32,7 @@ type program = {
   p_modules : Source.module_info list;  (* sorted by path *)
   p_by_lib : (string, (string, Source.module_info) Hashtbl.t) Hashtbl.t;
   p_defs : (string, Source.def * Source.module_info) Hashtbl.t;  (* key_to_string *)
+  p_nested : (string, unit) Hashtbl.t;  (* key_to_string of each nested module path *)
 }
 
 let find_module program ~lib ~modname =
@@ -44,6 +48,7 @@ let build modules =
   in
   let by_lib = Hashtbl.create 16 in
   let defs = Hashtbl.create 512 in
+  let nested = Hashtbl.create 16 in
   List.iter
     (fun (m : Source.module_info) ->
       let mods =
@@ -58,10 +63,32 @@ let build modules =
       List.iter
         (fun (d : Source.def) ->
           let key = { k_lib = m.Source.m_library; k_mod = m.Source.m_name; k_fn = d.Source.d_name } in
-          Hashtbl.replace defs (key_to_string key) (d, m))
+          Hashtbl.replace defs (key_to_string key) (d, m);
+          (* every proper prefix of "A.B.f" names a nested module *)
+          let rec prefixes acc = function
+            | [] | [ _ ] -> ()
+            | segment :: rest ->
+                let path = acc @ [ segment ] in
+                Hashtbl.replace nested (key_to_string { key with k_fn = String.concat "." path }) ();
+                prefixes path rest
+          in
+          prefixes [] (String.split_on_char '.' d.Source.d_name))
         m.Source.m_defs)
     modules;
-  { p_modules = modules; p_by_lib = by_lib; p_defs = defs }
+  { p_modules = modules; p_by_lib = by_lib; p_defs = defs; p_nested = nested }
+
+(* [scope] is the caller's nested-module path (["Model"] for a definition
+   named "Model.occupancy_model"); a name is looked up innermost first. *)
+let scopes scope =
+  List.fold_left
+    (fun acc segment ->
+      match acc with inner :: _ -> (inner @ [ segment ]) :: acc | [] -> [ [ segment ] ])
+    [ [] ] scope
+
+let scope_of_def (d : Source.def) =
+  match List.rev (String.split_on_char '.' d.Source.d_name) with
+  | _ :: outer -> List.rev outer
+  | [] -> []
 
 (* ---------- Path resolution ---------- *)
 
@@ -78,18 +105,39 @@ type resolution =
   | Module_ref of string * string  (* library, module: no value component *)
   | External
 
-(* [segments] is a dotted path, head first.  [m] provides aliases and the
-   sibling scope. *)
-let resolve program (m : Source.module_info) segments =
+(* The value named by a path below a module: nested module names up to the
+   first lowercase segment; what follows is record field access
+   ([S.table.S.run] names [table]). *)
+let value_path path =
+  let rec take = function
+    | segment :: rest when Source.is_upper segment.[0] -> segment :: take rest
+    | segment :: _ -> [ segment ]
+    | [] -> []
+  in
+  String.concat "." (take path)
+
+(* [segments] is a dotted path, head first.  [m] provides aliases, nested
+   modules and the sibling scope. *)
+let resolve ?(scope = []) program (m : Source.module_info) segments =
+  let own fn = { k_lib = m.Source.m_library; k_mod = m.Source.m_name; k_fn = fn } in
+  let nested head =
+    List.find_opt
+      (fun outer -> Hashtbl.mem program.p_nested (key_to_string (own (String.concat "." (outer @ [ head ])))))
+      (scopes scope)
+  in
   let rec go depth segments =
     if depth > 4 then External
     else
       match segments with
       | [] -> External
       | head :: rest when Source.is_upper head.[0] -> (
-          match List.assoc_opt head m.Source.m_aliases with
-          | Some target -> go (depth + 1) (target @ rest)
-          | None -> (
+          match (List.assoc_opt head m.Source.m_aliases, nested head) with
+          | Some target, _ -> go (depth + 1) (target @ rest)
+          | None, Some outer -> (
+              match rest with
+              | [] -> Module_ref (m.Source.m_library, m.Source.m_name)
+              | _ -> Value (own (value_path (outer @ (head :: rest)))))
+          | None, None -> (
               match lib_of_wrapper head with
               | Some lib when Hashtbl.mem program.p_by_lib lib -> in_library lib rest
               | _ ->
@@ -107,7 +155,7 @@ let resolve program (m : Source.module_info) segments =
         if find_module program ~lib ~modname <> None then
           match path with
           | [] -> Module_ref (lib, modname)
-          | _ -> Value { k_lib = lib; k_mod = modname; k_fn = String.concat "." path }
+          | _ -> Value { k_lib = lib; k_mod = modname; k_fn = value_path path }
         else Module_ref (lib, modname)
     | _ -> External
   in
@@ -125,12 +173,53 @@ let line_of_pos body from_line pos =
   done;
   !line
 
+(* The symbol of an operator definition: ["+%"] for ["( +% )"]. *)
+let operator_symbol name =
+  if String.length name > 2 && name.[0] = '(' then
+    Some (String.trim (String.sub name 1 (String.length name - 2)))
+  else None
+
+(* Whether the [name] at [at] is the right-hand side of its own shadowing
+   [let name = name ...], so still the outer definition. *)
+let rebinds body at name =
+  let line_start =
+    if at = 0 then 0
+    else match String.rindex_from_opt body (at - 1) '\n' with Some i -> i + 1 | None -> 0
+  in
+  Str.string_match
+    (Str.regexp (".*let +" ^ Str.quote name ^ " *= *$"))
+    (String.sub body line_start (at - line_start))
+    0
+
 (* All resolved calls and cross-library references in [body] (scrubbed text
-   whose first line is [from_line]), resolved in module [m]'s scope.
-   [locals] names identifiers that shadow module definitions. *)
-let scan_body program (m : Source.module_info) ~from_line ~locals body =
+   whose first line is [from_line]), resolved in module [m]'s scope from
+   nested-module path [scope].  [locals] names identifiers that shadow
+   module definitions. *)
+let scan_body ?(scope = []) program (m : Source.module_info) ~from_line ~locals body =
   let calls = ref [] in
   let xrefs = ref [] in
+  let own fn = { k_lib = m.Source.m_library; k_mod = m.Source.m_name; k_fn = fn } in
+  let add_call key at atoms_from =
+    calls :=
+      {
+        c_callee = key;
+        c_line = line_of_pos body from_line at;
+        c_atoms = (match atoms_from with Some p -> Source.parse_atoms body p | None -> []);
+      }
+      :: !calls
+  in
+  let add_xref lib at token =
+    if lib <> m.Source.m_library then
+      xrefs :=
+        {
+          x_from = m.Source.m_library;
+          x_to = lib;
+          x_file = m.Source.m_path;
+          x_line = line_of_pos body from_line at;
+          x_token = token;
+        }
+        :: !xrefs
+  in
   let pos = ref 0 in
   let continue = ref true in
   while !continue do
@@ -140,59 +229,45 @@ let scan_body program (m : Source.module_info) ~from_line ~locals body =
         let token = Str.matched_string body in
         let token_end = Str.match_end () in
         pos := token_end;
-        let before_ok = at = 0 || (body.[at - 1] <> '~' && body.[at - 1] <> '?') in
-        if before_ok then begin
+        (* [~label:] names a parameter; a punned [~x] uses [x] *)
+        let label =
+          at > 0
+          && (body.[at - 1] = '~' || body.[at - 1] = '?')
+          && token_end < String.length body
+          && body.[token_end] = ':'
+        in
+        if not label then begin
           let segments = String.split_on_char '.' token in
           match segments with
           | head :: _ when Source.is_upper head.[0] -> (
-              match resolve program m segments with
+              match resolve ~scope program m segments with
               | Value key ->
-                  if key.k_lib <> m.Source.m_library then
-                    xrefs :=
-                      {
-                        x_from = m.Source.m_library;
-                        x_to = key.k_lib;
-                        x_file = m.Source.m_path;
-                        x_line = line_of_pos body from_line at;
-                        x_token = token;
-                      }
-                      :: !xrefs;
-                  if find_def program key <> None then
-                    calls :=
-                      {
-                        c_callee = key;
-                        c_line = line_of_pos body from_line at;
-                        c_atoms = Source.parse_atoms body token_end;
-                      }
-                      :: !calls
-              | Module_ref (lib, _) ->
-                  if lib <> m.Source.m_library then
-                    xrefs :=
-                      {
-                        x_from = m.Source.m_library;
-                        x_to = lib;
-                        x_file = m.Source.m_path;
-                        x_line = line_of_pos body from_line at;
-                        x_token = token;
-                      }
-                      :: !xrefs
+                  add_xref key.k_lib at token;
+                  if find_def program key <> None then add_call key at (Some token_end)
+              | Module_ref (lib, _) -> add_xref lib at token
               | External -> ())
-          | [ name ] when not (List.mem name locals) ->
-              (* unqualified: a sibling definition of the same module *)
-              let key =
-                { k_lib = m.Source.m_library; k_mod = m.Source.m_name; k_fn = name }
-              in
-              if find_def program key <> None then
-                calls :=
-                  {
-                    c_callee = key;
-                    c_line = line_of_pos body from_line at;
-                    c_atoms = Source.parse_atoms body token_end;
-                  }
-                  :: !calls
+          | [ name ] when (not (List.mem name locals)) || rebinds body at name -> (
+              (* unqualified: a definition of the same module, innermost
+                 nesting first *)
+              match
+                List.find_opt
+                  (fun key -> find_def program key <> None)
+                  (List.map (fun outer -> own (String.concat "." (outer @ [ name ]))) (scopes scope))
+              with
+              | Some key -> add_call key at (Some token_end)
+              | None -> ())
           | _ -> ()
         end
   done;
+  List.iter
+    (fun (d : Source.def) ->
+      match operator_symbol d.Source.d_name with
+      | Some symbol -> (
+          match Str.search_forward (Str.regexp_string symbol) body 0 with
+          | at -> add_call (own d.Source.d_name) at None
+          | exception Not_found -> ())
+      | None -> ())
+    m.Source.m_defs;
   (List.rev !calls, List.rev !xrefs)
 
 (* ---------- Dumps ---------- *)

@@ -18,21 +18,24 @@ type report = {
 
 let call_edges (effects : Effects.t) =
   List.concat_map
-    (fun (s : Effects.summary) ->
-      List.map (fun (c : Callgraph.call) -> (s.Effects.s_key, c.Callgraph.c_callee)) s.Effects.s_calls)
+    (fun (s : Effects.summary) -> List.map (fun callee -> (s.Effects.s_key, callee)) s.Effects.s_refs)
     effects.Effects.e_order
 
 (* ---------- Core pipeline over in-memory sources ---------- *)
 
 (* [tree_findings] are project-level hits (missing-mli) that go through
-   the same suppression filter as everything else. *)
-let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
-  let scanned = List.map (fun (path, source) -> (path, Lexer.scrub source)) files in
+   the same suppression filter as everything else.  [consumers] are the
+   sources of separate dune projects: they join the call graph as
+   reachability roots, and no rule reports on them. *)
+let analyze ~layers_path ~layers_text ~dunes ~files ~consumers ~tree_findings =
+  let scrub = List.map (fun (path, source) -> (path, Lexer.scrub source)) in
+  let scanned = scrub files in
+  let consumer path = List.mem_assoc path consumers in
   let modules =
     List.filter_map
       (fun (path, scrubbed) ->
         if Filename.check_suffix path ".ml" then Some (Source.parse ~path scrubbed) else None)
-      scanned
+      (scanned @ scrub consumers)
   in
   let program = Callgraph.build modules in
   let effects = Effects.compute program in
@@ -41,11 +44,13 @@ let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
   let xrefs =
     List.concat_map
       (fun (m : Source.module_info) ->
-        let _, xrefs =
-          Callgraph.scan_body program m ~from_line:1 ~locals:[]
-            (String.concat "\n" (Array.to_list m.Source.m_code))
-        in
-        xrefs)
+        if consumer m.Source.m_path then []
+        else
+          let _, xrefs =
+            Callgraph.scan_body program m ~from_line:1 ~locals:[]
+              (String.concat "\n" (Array.to_list m.Source.m_code))
+          in
+          xrefs)
       program.Callgraph.p_modules
   in
   let layer_findings =
@@ -66,14 +71,12 @@ let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
         in
         Layering.check spec (dune_edges @ Layering.xref_edges xrefs)
   in
-  let race_findings = Races.analyze program effects in
+  let race_findings =
+    List.filter (fun (f : Finding.t) -> not (consumer f.Finding.file)) (Races.analyze program effects)
+  in
   let file_findings =
     List.concat_map (fun (path, scrubbed) -> Rules.check_source ~path scrubbed) scanned
     @ List.concat_map (fun (path, text) -> Rules.check_dune ~path text) dunes
-  in
-  let raw =
-    List.sort_uniq Finding.compare_finding
-      (tree_findings @ file_findings @ layer_findings @ race_findings)
   in
   (* suppression directives live in each source file's comments *)
   let by_file = Hashtbl.create 64 in
@@ -84,15 +87,17 @@ let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
       Hashtbl.replace by_file path suppressions;
       invalid_directives := !invalid_directives @ invalid)
     scanned;
-  let kept, suppressed =
-    List.partition
-      (fun (f : Finding.t) ->
-        match Hashtbl.find_opt by_file f.Finding.file with
-        | Some suppressions ->
-            not (Finding.suppressed suppressions ~rule:f.Finding.rule ~line:f.Finding.line)
-        | None -> true)
-      raw
+  let allowed (f : Finding.t) =
+    match Hashtbl.find_opt by_file f.Finding.file with
+    | Some suppressions -> Finding.suppressed suppressions ~rule:f.Finding.rule ~line:f.Finding.line
+    | None -> false
   in
+  let raw =
+    List.sort_uniq Finding.compare_finding
+      (tree_findings @ file_findings @ layer_findings @ race_findings
+     @ Reach.analyze ~consumer ~allowed effects)
+  in
+  let suppressed, kept = List.partition allowed raw in
   let findings = List.sort_uniq Finding.compare_finding (kept @ !invalid_directives) in
   let metrics = Metrics.create () in
   Metrics.incr metrics ~by:(List.length modules) "analysis:modules-scanned";
@@ -111,8 +116,10 @@ let analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings =
     r_edges = call_edges effects;
   }
 
-let analyze_sources ~layers_path ~layers_text ~dunes ~files =
-  analyze ~layers_path ~layers_text ~dunes ~files ~tree_findings:[]
+(* analysis: allow test-only — the fixture entry point: tests run the analysis over in-memory
+   sources *)
+let analyze_sources ?(consumers = []) ~layers_path ~layers_text ~dunes ~files () =
+  analyze ~layers_path ~layers_text ~dunes ~files ~consumers ~tree_findings:[]
 
 (* ---------- Filesystem walking ---------- *)
 
@@ -122,38 +129,46 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec collect path acc =
+(* Files under [path], each tagged with whether it lies in a separate dune
+   project (a directory below the scan root with its own dune-project). *)
+let rec collect ~consumer path acc =
   if Sys.file_exists path && Sys.is_directory path then
+    let consumer =
+      consumer || (path <> "." && Sys.file_exists (Filename.concat path "dune-project"))
+    in
     Array.to_list (Sys.readdir path)
     |> List.filter (fun entry -> entry <> "" && entry.[0] <> '.' && entry.[0] <> '_')
     |> List.sort String.compare
-    |> List.fold_left (fun acc entry -> collect (Filename.concat path entry) acc) acc
+    |> List.fold_left (fun acc entry -> collect ~consumer (Filename.concat path entry) acc) acc
   else if
     Filename.check_suffix path ".ml"
     || Filename.check_suffix path ".mli"
     || Filename.basename path = "dune"
-  then path :: acc
+  then (path, consumer) :: acc
   else acc
 
 let analyze_tree ~layers_path ~inject ~paths =
   match read_file layers_path with
   | exception Sys_error message -> Error (Printf.sprintf "cannot read layers file: %s" message)
   | layers_text ->
-      let found = List.rev (List.fold_left (fun acc path -> collect path acc) [] paths) in
-      let sources, dunes =
-        List.fold_left
-          (fun (sources, dunes) path ->
-            let text = read_file path in
-            if Filename.basename path = "dune" then (sources, (path, text) :: dunes)
-            else ((path, text) :: sources, dunes))
-          ([], []) found
+      let found =
+        List.rev (List.fold_left (fun acc path -> collect ~consumer:false path acc) [] paths)
+      in
+      let own = List.filter_map (fun (path, consumer) -> if consumer then None else Some path) found in
+      let read paths = List.map (fun path -> (path, read_file path)) paths in
+      let dunes, sources = List.partition (fun path -> Filename.basename path = "dune") own in
+      let consumers =
+        List.filter_map
+          (fun (path, consumer) ->
+            if consumer && Filename.check_suffix path ".ml" then Some path else None)
+          found
       in
       let injected =
         List.map (fun (c : Inject.canary) -> (c.Inject.c_path, c.Inject.c_source)) inject
       in
       Ok
-        (analyze ~layers_path ~layers_text ~dunes:(List.rev dunes)
-           ~files:(List.rev sources @ injected) ~tree_findings:(Rules.missing_mli found))
+        (analyze ~layers_path ~layers_text ~dunes:(read dunes) ~files:(read sources @ injected)
+           ~consumers:(read consumers) ~tree_findings:(Rules.missing_mli own))
 
 (* ---------- Rendering ---------- *)
 

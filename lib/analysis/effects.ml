@@ -55,7 +55,8 @@ type summary = {
   s_key : Callgraph.key;
   s_def : Source.def;
   s_module : Source.module_info;
-  s_calls : Callgraph.call list;
+  s_calls : Callgraph.call list;  (* empty for the trusted runtime *)
+  s_refs : Callgraph.key list;  (* every definition the body names, trusted or not *)
   s_locals : (string * Source.binding_kind) list;
   s_params : string list;
   mutable s_mask : int;
@@ -444,19 +445,17 @@ let compute (program : Callgraph.program) =
           in
           let locals = Source.local_bindings d.Source.d_body in
           let params = List.concat_map (fun (p : Source.param) -> p.Source.p_names) d.Source.d_params in
-          let calls =
-            if trusted key then []
-            else begin
-              let shadows = List.map fst locals @ params in
-              let calls, _ =
-                Callgraph.scan_body program m ~from_line:d.Source.d_line ~locals:shadows
-                  d.Source.d_body
-              in
-              (* drop self-recursion edges: they add no information and
-                 would put a cycle in every witness trail *)
-              List.filter (fun (c : Callgraph.call) -> c.Callgraph.c_callee <> key) calls
-            end
+          let refs =
+            let shadows = List.map fst locals @ params in
+            let calls, _ =
+              Callgraph.scan_body ~scope:(Callgraph.scope_of_def d) program m
+                ~from_line:d.Source.d_line ~locals:shadows d.Source.d_body
+            in
+            (* drop self-recursion edges: they add no information and
+               would put a cycle in every witness trail *)
+            List.filter (fun (c : Callgraph.call) -> c.Callgraph.c_callee <> key) calls
           in
+          let calls = if trusted key then [] else refs in
           calls_resolved := !calls_resolved + List.length calls;
           let s =
             {
@@ -464,6 +463,7 @@ let compute (program : Callgraph.program) =
               s_def = d;
               s_module = m;
               s_calls = calls;
+              s_refs = List.map (fun (c : Callgraph.call) -> c.Callgraph.c_callee) refs;
               s_locals = locals;
               s_params = params;
               s_mask = 0;

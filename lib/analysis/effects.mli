@@ -21,7 +21,8 @@ type summary = {
   s_key : Callgraph.key;
   s_def : Source.def;
   s_module : Source.module_info;
-  s_calls : Callgraph.call list;
+  s_calls : Callgraph.call list;  (** empty for the trusted runtime *)
+  s_refs : Callgraph.key list;  (** every definition the body names, trusted or not *)
   s_locals : (string * Source.binding_kind) list;
   s_params : string list;
   mutable s_mask : int;

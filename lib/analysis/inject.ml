@@ -1,6 +1,6 @@
 (* Canary mutations: small synthetic source files injected into the scanned
    tree by [--inject-bug] to prove the detectors catch real races, layer
-   violations and per-file rule hits.  Each canary carries the rule it must
+   violations, dead library code and per-file rule hits.  Each canary carries the rule it must
    trip; CI runs every canary expecting a non-zero exit, so a detector
    regression turns the build red. *)
 
@@ -70,6 +70,13 @@ let run ?pool () =
       c_path = "lib/netsim/canary_wall_clock.ml";
       c_rule = "wall-clock";
       c_source = {|let stamp () = Unix.gettimeofday ()
+|};
+    };
+    {
+      c_name = "dead-code-in-lib";
+      c_path = "lib/core/canary_dead_code.ml";
+      c_rule = "unreachable";
+      c_source = {|let never_called x = x + 1
 |};
     };
   ]

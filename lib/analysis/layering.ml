@@ -10,9 +10,10 @@
 type spec = { s_layers : (string * int) list }  (* library -> layer index, bottom = 0 *)
 
 (* Accept both short names ("util") and full library names
-   ("concilium_util"); "bin" and "test" stay as-is. *)
+   ("concilium_util"); the executable trees ("bin", "test", "bench",
+   "examples") stay as-is. *)
 let normalize word =
-  if word = "bin" || word = "test" then word
+  if List.mem word [ "bin"; "test"; "bench"; "examples" ] then word
   else if String.length word > 10 && String.sub word 0 10 = "concilium_" then word
   else "concilium_" ^ word
 

@@ -183,7 +183,9 @@ let closure_findings program effects ~(outer : Effects.summary) ~root_step ~pool
       (* calls out of the closure *)
       let shadows = binders @ List.map fst closure_locals in
       let calls, _ =
-        Callgraph.scan_body program outer.Effects.s_module ~from_line ~locals:shadows body
+        Callgraph.scan_body
+          ~scope:(Callgraph.scope_of_def outer.Effects.s_def)
+          program outer.Effects.s_module ~from_line ~locals:shadows body
       in
       let call_findings =
         List.concat_map

@@ -6,7 +6,14 @@
    driver applies the suppression directives once, to these and to the
    whole-program passes alike. *)
 
-type family = Determinism | Polymorphic_compare | Partiality | Hygiene | Pool_safety | Layering
+type family =
+  | Determinism
+  | Polymorphic_compare
+  | Partiality
+  | Hygiene
+  | Pool_safety
+  | Layering
+  | Reachability
 
 let family_to_string = function
   | Determinism -> "determinism"
@@ -15,6 +22,7 @@ let family_to_string = function
   | Hygiene -> "hygiene"
   | Pool_safety -> "pool-safety"
   | Layering -> "layering"
+  | Reachability -> "reachability"
 
 (* ---------- Path scoping ---------- *)
 
@@ -276,6 +284,10 @@ let whole_program =
       "a domain-pool task draws from a generator shared across tasks instead of a pre-split one" );
     ("layer-back-edge", Layering, "a library depends on one at the same or a higher layer");
     ("layer-unknown", Layering, "a library is missing from the layers file, or the file does not parse");
+    ( "unreachable",
+      Reachability,
+      "a library definition that no entry point (bin, bench, examples, perfbench) or test reaches" );
+    ("test-only", Reachability, "a library definition that only test/ reaches");
     ( "suppression-missing-reason",
       Hygiene,
       "an analysis: allow directive without a justification (it suppresses nothing)" );

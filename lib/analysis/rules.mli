@@ -4,7 +4,14 @@
     every hit; the driver filters them through the suppression directives.
     See DESIGN.md, "Determinism policy & static analysis". *)
 
-type family = Determinism | Polymorphic_compare | Partiality | Hygiene | Pool_safety | Layering
+type family =
+  | Determinism
+  | Polymorphic_compare
+  | Partiality
+  | Hygiene
+  | Pool_safety
+  | Layering
+  | Reachability
 
 val family_to_string : family -> string
 

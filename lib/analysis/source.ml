@@ -166,7 +166,9 @@ let alias_re =
     "^ *module +\\([A-Z][A-Za-z0-9_']*\\) *= *\\([A-Z][A-Za-z0-9_'.]*\\)\\( *(.*\\)? *$"
 
 let struct_re = Str.regexp "^ *module +\\([A-Z][A-Za-z0-9_']*\\).*= *struct *$"
+let sig_re = Str.regexp "^ *module +type +.*= *sig *$"
 let open_re = Str.regexp "^ *open +\\([A-Z][A-Za-z0-9_'.]*\\)"
+let local_alias_re = Str.regexp "let +module +\\([A-Z][A-Za-z0-9_']*\\) *= *\\([A-Z][A-Za-z0-9_'.]*\\) +in\\b"
 
 (* Parse one [let]/[and] item: name, params, body with the header blanked.
    The header runs to the first [=] at bracket depth 0 (an [=] inside
@@ -195,6 +197,14 @@ let parse_let item_text line prefix =
   in
   (* scan the header for parameters until the top-level [=] *)
   let params = ref [] in
+  (* spans of optional-argument defaults, [?(x = default)]: evaluated at
+     call time, so they stay in the body *)
+  let defaults = ref [] in
+  let keep_default first last =
+    match String.index_from_opt item_text first '=' with
+    | Some eq when eq < last -> defaults := (eq + 1, last) :: !defaults
+    | _ -> ()
+  in
   let body_start = ref n in
   let j = ref after_name in
   let stop = ref false in
@@ -234,6 +244,7 @@ let parse_let item_text line prefix =
               if m' < n && (item_text.[m'] = '(' || item_text.[m'] = '{') then begin
                 match balanced item_text m' with
                 | Some e ->
+                    if optional then keep_default m' (e - 1);
                     let inner = String.sub item_text (m' + 1) (e - m' - 2) in
                     params :=
                       { p_label = Some label; p_optional = optional; p_names = pattern_binders inner }
@@ -264,6 +275,7 @@ let parse_let item_text line prefix =
             if k + 1 < n && item_text.[k + 1] = '(' then begin
               match balanced item_text (k + 1) with
               | Some e ->
+                  keep_default (k + 1) (e - 1);
                   let inner = String.sub item_text (k + 2) (e - k - 3) in
                   let name =
                     match read_ident inner (skip_ws inner 0) with Some (ident, _) -> ident | None -> "_"
@@ -306,7 +318,8 @@ let parse_let item_text line prefix =
   (* blank the header so body scans never see parameter or name tokens *)
   let body = Bytes.of_string item_text in
   for idx = 0 to min (n - 1) (!body_start - 1) do
-    if Bytes.get body idx <> '\n' then Bytes.set body idx ' '
+    let default = List.exists (fun (first, last) -> idx >= first && idx < last) !defaults in
+    if Bytes.get body idx <> '\n' && not default then Bytes.set body idx ' '
   done;
   {
     d_name = prefix ^ name;
@@ -338,8 +351,9 @@ let parse ~path (scrubbed : Lexer.scrubbed) =
     !j
   in
   (* Walk the items at column [indent]; returns the first line belonging to
-     an enclosing level (or [count]). *)
-  let rec walk ~indent ~prefix i =
+     an enclosing level (or [count]).  [in_type] marks that the previous
+     item was a [type], so an [and] continues it rather than a [let]. *)
+  let rec walk ?(in_type = false) ~indent ~prefix i =
     if i >= count then count
     else
       match item_at lines.(i) with
@@ -347,6 +361,8 @@ let parse ~path (scrubbed : Lexer.scrubbed) =
       | Some (col, kw) when col = indent -> (
           match kw with
           | "end" -> i (* the enclosing [module _ = struct]'s terminator *)
+          | "type" -> walk ~in_type:true ~indent ~prefix (next_item indent i)
+          | "and" when in_type -> walk ~in_type ~indent ~prefix (next_item indent i)
           | "let" | "and" ->
               let stop = next_item indent i in
               defs := parse_let (item_text i (stop - 1)) (i + 1) prefix :: !defs;
@@ -357,7 +373,14 @@ let parse ~path (scrubbed : Lexer.scrubbed) =
               | false -> ());
               walk ~indent ~prefix (next_item indent i)
           | "module" ->
-              if Str.string_match struct_re lines.(i) 0 then begin
+              if Str.string_match sig_re lines.(i) 0 then
+                (* a signature: skip past its [end] *)
+                let stop = next_item indent i in
+                walk ~indent ~prefix
+                  (match if stop < count then item_at lines.(stop) else None with
+                  | Some (col, "end") when col = indent -> stop + 1
+                  | _ -> stop)
+              else if Str.string_match struct_re lines.(i) 0 then begin
                 let name = Str.matched_group 1 lines.(i) in
                 let after = walk ~indent:(indent + 2) ~prefix:(prefix ^ name ^ ".") (i + 1) in
                 let after =
@@ -378,6 +401,19 @@ let parse ~path (scrubbed : Lexer.scrubbed) =
       | _ -> walk ~indent ~prefix (i + 1)
   in
   ignore (walk ~indent:0 ~prefix:"" 0);
+  (* [let module X = Path in] aliases, module-wide *)
+  Array.iter
+    (fun line ->
+      let rec scan pos =
+        match Str.search_forward local_alias_re line pos with
+        | exception Not_found -> ()
+        | _ ->
+            let target = String.split_on_char '.' (Str.matched_group 2 line) in
+            aliases := (Str.matched_group 1 line, target) :: !aliases;
+            scan (Str.match_end ())
+      in
+      scan 0)
+    lines;
   {
     m_path = path;
     m_library = library_of_path path;

@@ -26,25 +26,6 @@ type t = {
 let with_ops t ops = { t with ops }
 let op_count t = List.length t.ops
 
-let pp_op fmt op =
-  match op with
-  | Win_record { win; guilty; blame; drop_time } ->
-      Format.fprintf fmt "win_record[%d] %s blame=%.3f t=%.6f" win
-        (if guilty then "guilty" else "innocent")
-        blame drop_time
-  | Win_expire { win; before } -> Format.fprintf fmt "win_expire[%d] before=%.6f" win before
-  | Dht_put { from_node; accuser; accused; drop_time; copies } ->
-      Format.fprintf fmt "dht_put from=%d %d->%d t=%.6f copies=%d" from_node accuser accused
-        drop_time copies
-  | Dht_get { from_node; accused } -> Format.fprintf fmt "dht_get from=%d accused=%d" from_node accused
-  | Dht_crash { node } -> Format.fprintf fmt "dht_crash %d" node
-  | Dht_revive { node } -> Format.fprintf fmt "dht_revive %d" node
-  | Dht_drop_replica { node } -> Format.fprintf fmt "dht_drop_replica %d" node
-  | Arch_record { owner; accused; drop_time } ->
-      Format.fprintf fmt "arch_record[%d] accused=%d t=%.6f" owner accused drop_time
-  | Arch_defend { owner; accuser; drop_time } ->
-      Format.fprintf fmt "arch_defend[%d] accuser=%d t=%.6f" owner accuser drop_time
-
 (* ---------- Generation ---------- *)
 
 (* First pass emits timed operations; expiries and defenses stay symbolic

@@ -49,7 +49,5 @@ val with_ops : t -> op list -> t
 
 val op_count : t -> int
 
-val pp_op : Format.formatter -> op -> unit
-
 val encode : t -> Concilium_util.Json.t
 val decode : Concilium_util.Json.t -> (t, string) result

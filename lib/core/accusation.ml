@@ -102,6 +102,8 @@ type rejection =
   | Below_threshold
   | Weak_supporting_evidence
 
+(* analysis: allow test-only — accusation verifier (paper Section 3.4): any node can re-check
+   the signatures, commitment and recomputed blame; tests prove forgeries are rejected *)
 let verify pki t =
   let b = Signed.payload t in
   let e = b.evidence in
@@ -131,14 +133,3 @@ let verify pki t =
       else Error Weak_supporting_evidence
     end
   end
-
-let pp_rejection fmt rejection =
-  Format.pp_print_string fmt
-    (match rejection with
-    | Bad_signature -> "bad accusation signature"
-    | Bad_commitment -> "invalid forwarding commitment"
-    | Commitment_mismatch -> "commitment does not name the accused as forwarder"
-    | Bad_vote_signature -> "a probe vote carries an invalid signature"
-    | Blame_mismatch -> "recomputed blame disagrees with the claimed value"
-    | Below_threshold -> "evidence does not reach the guilt threshold"
-    | Weak_supporting_evidence -> "a piece of supporting evidence fails verification")

@@ -93,5 +93,3 @@ val verify : Pki.t -> t -> (unit, rejection) result
     threshold under recomputation. *)
 
 val serialize_body : body -> string
-
-val pp_rejection : Format.formatter -> rejection -> unit

@@ -22,10 +22,10 @@ let issue ~forwarder ~secret ~public ~sender ~destination ~message_id ~now =
 
 let verify pki t = Signed.check ~serialize:serialize_body pki t
 
+(* analysis: allow test-only — forwarding-commitment match (paper Section 3.6), the field half
+   of the commitment check *)
 let covers t ~forwarder ~sender ~destination ~message_id =
   let body = Signed.payload t in
   Id.equal body.forwarder forwarder && Id.equal body.sender sender
   && Id.equal body.destination destination
   && String.equal body.message_id message_id
-
-let wire_bytes = (3 * 16) + 4 + 32 + Pki.modeled_signature_bytes

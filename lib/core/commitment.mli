@@ -38,6 +38,3 @@ val covers :
 (** Field-wise match (signature checked separately by {!verify}). *)
 
 val serialize_body : body -> string
-
-val wire_bytes : int
-(** Modeled size: ids + timestamp + signature. *)

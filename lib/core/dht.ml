@@ -48,6 +48,8 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
 
+(* analysis: allow test-only — observation point: tests check replica placement and steward
+   failover *)
 let replica_nodes t ~key = take t.replication (replica_candidates t ~key)
 
 let live_replicas t ~key ~alive =

@@ -13,9 +13,9 @@ module Trace = Concilium_obs.Trace
 module Metrics = Concilium_obs.Metrics
 module Prov = Concilium_provenance.Graph
 
-let log_source = Logs.Src.create "concilium.protocol" ~doc:"Concilium protocol runtime"
-
-module Log = (val Logs.src_log log_source : Logs.LOG)
+module Log =
+  (val Logs.src_log (Logs.Src.create "concilium.protocol" ~doc:"Concilium protocol runtime")
+     : Logs.LOG)
 
 type behavior =
   | Honest
@@ -123,6 +123,10 @@ and drop =
   | Ack_lost_on_link of int
   | Hop_offline of int  (** the next hop was churned out when the message arrived *)
 
+(* A recorded observation's provenance: the flags of its latest report
+   until a verdict cites it, then its arena node. *)
+type prov_probe = Reported of { tapped : bool; forged : bool } | Cited of Prov.node
+
 type t = {
   world : World.t;
   engine : Engine.t;
@@ -146,7 +150,7 @@ type t = {
      verdict (or a formal accusation citing past verdicts) is produced.
      Only populated when the collector's provenance graph is recording.
      Times are keyed by their IEEE bits — the exact double, no epsilon. *)
-  prov_probes : (int * int * int64 * bool, Prov.node) Hashtbl.t;
+  prov_probes : (int * int * int64 * bool, prov_probe) Hashtbl.t;
   prov_verdicts : (int * int * int64, Prov.node) Hashtbl.t;
   mutable message_seq : int;
 }
@@ -191,28 +195,42 @@ let create ~world ~engine ~link_state ~rng ?(availability = fun ~time:_ _ -> tru
 
 let observations t = t.observations
 let dht t = t.dht
+(* analysis: allow test-only — observation point: tests reconcile protocol bytes with the
+   world's bandwidth totals *)
 let world t = t.world
 let obs t = t.obs
 
 (* ---------- Provenance recording ---------- *)
 
-(* Every archived observation gets an arena node so verdict evidence edges
-   can point at the exact votes that were counted. Identical re-reports
-   (same prober/link/time/polarity) collapse onto the latest node — their
-   vote multisets are indistinguishable, so replay is unaffected. *)
+(* Every archived observation is noted here; its arena node is created
+   only when a verdict cites it, so the graph holds the evidence verdicts
+   counted and nothing else. Identical re-reports (same
+   prober/link/time/polarity) collapse onto the latest report — their vote
+   multisets are indistinguishable, so replay is unaffected — and a
+   re-report after a citation gets a fresh node for later citations. *)
 let prov_record_probe t ~prober ~link ~time ~up ~tapped ~forged =
-  let prov = t.obs.Obs.prov in
-  if Prov.enabled prov then begin
-    let node = Prov.probe prov ~prober ~link ~time ~up ~tapped ~forged in
-    Hashtbl.replace t.prov_probes (prober, link, Int64.bits_of_float time, up) node
-  end
+  if Prov.enabled t.obs.Obs.prov then
+    Hashtbl.replace t.prov_probes
+      (prober, link, Int64.bits_of_float time, up)
+      (Reported { tapped; forged })
 
 let prov_probe_of t obs =
-  Hashtbl.find_opt t.prov_probes
+  let key =
     ( obs.Observation.prober,
       obs.Observation.link,
       Int64.bits_of_float obs.Observation.time,
       obs.Observation.up )
+  in
+  match Hashtbl.find_opt t.prov_probes key with
+  | Some (Cited node) -> Some node
+  | Some (Reported { tapped; forged }) ->
+      let node =
+        Prov.probe t.obs.Obs.prov ~prober:obs.Observation.prober ~link:obs.Observation.link
+          ~time:obs.Observation.time ~up:obs.Observation.up ~tapped ~forged
+      in
+      Hashtbl.replace t.prov_probes key (Cited node);
+      Some node
+  | None -> None
 
 (* ---------- Lightweight probing ---------- *)
 
@@ -596,9 +614,9 @@ let evaluate_suspect t ~judge ~suspect ~links ~drop_time ~commitment =
 (* Hang a verdict node's evidence under it: defense interventions first,
    then the counted votes in vote order, then episode-scoped events (tap
    firings, steward failover). The edge order is part of the byte-stable
-   output contract. Probe nodes are looked up here, after the judgment:
-   both run in the same judgment event, and no probe is recorded between
-   them. *)
+   output contract. Probe nodes are created (or reused) here, after the
+   judgment: both run in the same judgment event, and no probe is recorded
+   between them. *)
 let attach_verdict_evidence t vnode ~judge ~suspect ~selection ~events =
   let prov = t.obs.Obs.prov in
   if selection.Blame.excluded > 0 then
@@ -731,11 +749,13 @@ let record_judgment t ~judge ~suspect ~verdict ~blame ~evidence ~drop_time ~epis
         ()
   end
 
+(* analysis: allow test-only — observation point: tests read a judge's verdict window *)
 let guilty_count t ~judge ~suspect =
   match Hashtbl.find_opt t.windows (judge, suspect) with
   | Some w -> Verdict_window.guilty_count w
   | None -> 0
 
+(* analysis: allow test-only — observation point: tests read what the accusation DHT holds *)
 let fetch_accusations t ~from ~accused =
   let hops = ref 0 in
   let time = Engine.now t.engine in

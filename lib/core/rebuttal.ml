@@ -31,6 +31,8 @@ type outcome =
   | Blame_shifted of Id.t
   | Accusation_invalid of Accusation.rejection
 
+(* analysis: allow test-only — rebuttal adjudication (paper Section 3.5): tests prove a valid
+   rebuttal shifts blame and a forged one fails *)
 let adjudicate ?(prov = Concilium_provenance.Graph.noop) ?(accuser = -1) ?(accused = -1) pki
     ~accusation ~rebuttal =
   let outcome =
@@ -56,9 +58,3 @@ let adjudicate ?(prov = Concilium_provenance.Graph.noop) ?(accuser = -1) ?(accus
      in
      ignore (Graph.rebuttal prov ~accuser ~accused ~outcome:kind : Graph.node));
   outcome
-
-let pp_outcome fmt = function
-  | Accusation_stands -> Format.pp_print_string fmt "accusation stands"
-  | Blame_shifted id -> Format.fprintf fmt "blame shifted to %a" Id.pp id
-  | Accusation_invalid rejection ->
-      Format.fprintf fmt "accusation invalid: %a" Accusation.pp_rejection rejection

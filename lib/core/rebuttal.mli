@@ -50,5 +50,3 @@ val adjudicate :
     rebuttal node carrying the outcome; [accuser]/[accused] are the dense
     node numbers when the caller knows them (default -1: the signed
     statements only carry overlay identities). *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

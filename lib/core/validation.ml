@@ -60,15 +60,3 @@ let check pki ~now config ~local advertisement =
            })
   | `Acceptable -> ());
   List.rev !failures
-
-let pp_failure fmt = function
-  | Bad_snapshot_signature -> Format.pp_print_string fmt "snapshot signature invalid"
-  | Stale_or_invalid_stamp id ->
-      Format.fprintf fmt "stale or invalid freshness stamp for %a" Id.pp id
-  | Sparse_jump_table { local; advertised } ->
-      Format.fprintf fmt "jump table too sparse (advertised %d vs local %d of %d slots)"
-        advertised local
-        (Id.digits * Id.base)
-  | Sparse_leaf_set { local_spacing; advertised_spacing } ->
-      Format.fprintf fmt "leaf set too sparse (spacing %.3g vs local %.3g)" advertised_spacing
-        local_spacing

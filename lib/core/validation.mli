@@ -43,5 +43,3 @@ val check :
   Pki.t -> now:float -> config -> local:local_view -> advertisement -> failure list
 (** All failures found, in checking order; [] means the advertisement is
     accepted. *)
-
-val pp_failure : Format.formatter -> failure -> unit

@@ -159,7 +159,6 @@ let ip_path t ~from_node ~to_node =
   find 0
 
 let overlay_route t ~from ~dest = Pastry.route t.pastry ~from ~dest
-let next_overlay_hop t ~from ~dest = Pastry.next_hop t.pastry ~from ~dest
 
 let forest_links t v =
   let seen = Concilium_util.Bitset.create (Graph.link_count t.generated.Generate.graph) in

@@ -68,8 +68,6 @@ val ip_path : t -> from_node:int -> to_node:int -> Routes.path option
 val overlay_route : t -> from:int -> dest:Id.t -> int list
 (** Overlay hops (node indices) from [from] to the root of [dest]. *)
 
-val next_overlay_hop : t -> from:int -> dest:Id.t -> int option
-
 val forest_links : t -> int -> int array
 (** Distinct physical links of F_H: the union of H's tree and its routing
     peers' trees (paper Section 3.2). *)

@@ -1,7 +1,7 @@
 module Prng = Concilium_util.Prng
 
 type public_key = string
-type secret_key = { key_public : public_key; key_secret : string }
+type secret_key = string
 type signature = string
 
 type certificate = {
@@ -29,7 +29,7 @@ let generate_into registry rng =
   let secret = random_token rng in
   let public = Sha256.hex_digest secret in
   Hashtbl.replace registry public secret;
-  (public, { key_public = public; key_secret = secret })
+  (public, secret)
 
 let create ~seed =
   let rng = Prng.of_seed seed in
@@ -37,10 +37,7 @@ let create ~seed =
   let authority_public, authority_secret = generate_into registry rng in
   { rng; registry; authority_public; authority_secret }
 
-let authority_key t = t.authority_public
-let public_of_secret secret = secret.key_public
-
-let sign secret message = Hmac.sha256_hex ~key:secret.key_secret message
+let sign secret message = Hmac.sha256_hex ~key:secret message
 
 let verify t public message signature =
   match Hashtbl.find_opt t.registry public with
@@ -57,6 +54,8 @@ let issue t ~address ~node_id =
   ( { subject_address = address; subject_node_id = node_id; subject_key = public; authority_signature },
     secret )
 
+(* analysis: allow test-only — certificate check of the paper's CA trust model; tests prove
+   issued certificates verify *)
 let verify_certificate t certificate =
   let payload =
     certificate_payload ~address:certificate.subject_address
@@ -65,12 +64,14 @@ let verify_certificate t certificate =
   verify t t.authority_public payload certificate.authority_signature
 
 let public_key_to_string pk = pk
+(* analysis: allow test-only — adversary fixture: tests forge keys to prove the verifiers reject
+   them *)
 let public_key_of_string s = s
-let public_key_equal = String.equal
 let signature_to_string s = s
+(* analysis: allow test-only — adversary fixture: tests forge signatures to prove the verifiers
+   reject them *)
 let signature_of_string s = s
 
 (* RSA-1024 signature is 128 bytes; PSS-R recovers part of the message, and
    the paper budgets 144 bytes for a 20-byte payload plus its signature. *)
 let modeled_signature_bytes = 128
-let modeled_public_key_bytes = 128

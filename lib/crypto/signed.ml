@@ -7,7 +7,11 @@ let make ~serialize ~signer ~secret payload =
 
 let check ~serialize pki t = Pki.verify pki t.signer (domain ^ serialize t.payload) t.signature
 
+(* analysis: allow test-only — adversary fixture: tests forge envelopes to prove the verifiers
+   reject them *)
 let forge ~signer ~fake_signature payload = { payload; signer; signature = fake_signature }
 
 let payload t = t.payload
+(* analysis: allow test-only — adversary fixture: tests re-sign tampered payloads under the
+   original signer *)
 let signer t = t.signer

@@ -83,7 +83,6 @@ let create ~world config =
   in
   { world; config; failures; schedules; malicious; peer_sets }
 
-let world t = t.world
 let config t = t.config
 
 let mean_bad_fraction t =

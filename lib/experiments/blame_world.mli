@@ -55,7 +55,6 @@ type t
 val create : world:World.t -> config -> t
 (** Runs the failure process and lays out every node's probe schedule. *)
 
-val world : t -> World.t
 val config : t -> config
 val mean_bad_fraction : t -> float
 (** Time-averaged fraction of route-relevant links bad (target: 5%). *)

@@ -254,6 +254,7 @@ type adversary_config = {
   biased_mean_duration : float;
 }
 
+(* analysis: allow test-only — fixture: the zero adversary configuration tests sample from *)
 let no_adversaries =
   {
     collusions_per_hour = 0.;
@@ -386,14 +387,6 @@ let sample_adversaries ~rng ~config ~nodes ?peers_of ~horizon () =
       (fun a b -> Float.compare (adversary_start_of a) (adversary_start_of b))
       (List.rev !advs)
   end
-
-let adversary_active adversary ~time =
-  match adversary with
-  | Collusion { start; duration; _ }
-  | Lying_reporters { start; duration; _ }
-  | Eclipse { start; duration; _ }
-  | Biased_sampling { start; duration; _ } ->
-      time >= start && time < start +. duration
 
 let adversary_counts plan =
   let collusion = ref 0 and lying = ref 0 and eclipse = ref 0 and biased = ref 0 in

@@ -169,9 +169,6 @@ val sample_adversaries :
     arbitrary non-victim nodes otherwise. Fewer than two nodes yields the
     empty plan. Sorted by start time; equal seeds give equal plans. *)
 
-val adversary_active : adversary -> time:float -> bool
-(** Whether the campaign's [start, start + duration) window covers [time]. *)
-
 val adversary_counts : adversary_plan -> (string * int) list
 (** Strategy-family histogram in a fixed order ("collusion",
     "lying_reporters", "eclipse", "biased_sampling") — transcript-friendly. *)

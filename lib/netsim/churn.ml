@@ -52,7 +52,8 @@ let generate ~rng ~config ~hosts ~duration =
   done;
   { initial; offsets; times = Array.sub !buffer 0 !filled }
 
-let hosts t = Array.length t.initial
+(* analysis: allow test-only — observation point: tests check the event stream against the
+   timeline *)
 let toggle_count t = Array.length t.times
 let initially_online t ~host = t.initial.(host)
 
@@ -78,6 +79,8 @@ let online_fraction t ~time =
     float_of_int !online /. float_of_int hosts
   end
 
+(* analysis: allow test-only — observation point: tests check the event stream against per-host
+   transitions *)
 let transitions t ~host =
   let online = ref t.initial.(host) in
   let out = ref [] in

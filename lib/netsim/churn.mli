@@ -31,8 +31,6 @@ val transitions : t -> host:int -> (float * bool) list
 
 val mean_online_fraction : t -> duration:float -> samples:int -> float
 
-val hosts : t -> int
-
 val toggle_count : t -> int
 (** Total toggles across all hosts (the timeline's storage footprint). *)
 

@@ -23,6 +23,8 @@ let set_on_push t f = t.on_push <- Some f
 let tombstone = { time = neg_infinity; seq = min_int; action = ignore }
 let now t = t.clock
 let pending t = t.size
+(* analysis: allow test-only — observation point: tests check the event heap shrinks after a
+   drain *)
 let capacity t = Array.length t.data
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

@@ -40,8 +40,8 @@ let create_with ~epoch_length ~link_count =
 
 let create ~link_count = create_with ~epoch_length:default_epoch_length ~link_count
 
-let link_count t = t.link_count
-let epoch_length t = t.epoch_length
+(* analysis: allow test-only — memory bound for long runs, with expire_before; nothing expires
+   history yet, left for a later change *)
 let resident_pieces t = t.resident
 
 let check t link =
@@ -166,6 +166,7 @@ let is_bad_at t ~link ~time =
 let path_is_good_at t ~links ~time =
   Array.for_all (fun link -> not (is_bad_at t ~link ~time)) links
 
+(* analysis: allow test-only — observation point: tests compare the history with a list model *)
 let bad_links_at t ~time =
   let acc = ref [] in
   for link = t.link_count - 1 downto 0 do
@@ -203,6 +204,7 @@ let fold_pieces t link ~init ~f =
         timeline.buckets;
       !acc
 
+(* analysis: allow test-only — observation point: tests compare the history with a list model *)
 let intervals t ~link =
   check t link;
   let joined =
@@ -227,6 +229,7 @@ let merged_intervals t ~link ~horizon =
   in
   List.rev clipped
 
+(* analysis: allow test-only — observation point: tests compare the history with a list model *)
 let total_bad_time t ~link ~horizon =
   List.fold_left
     (fun acc (start, finish) -> acc +. (finish -. start))
@@ -235,6 +238,8 @@ let total_bad_time t ~link ~horizon =
 
 (* ---------- Memory bounding ---------- *)
 
+(* analysis: allow test-only — memory bound for long runs; nothing expires history yet; deleting
+   it deletes its tests, left for a later change *)
 let expire_before t ~time =
   if Float.is_nan time then invalid_arg "Link_history.expire_before: NaN time";
   let cutoff = epoch_of t time in

@@ -18,10 +18,6 @@ val create_with : epoch_length:float -> link_count:int -> t
 (** [epoch_length] (seconds) sets the bucket width and the granularity of
     {!expire_before}. *)
 
-val link_count : t -> int
-
-val epoch_length : t -> float
-
 val add_interval : t -> link:int -> start:float -> finish:float -> unit
 (** Record that [link] was bad during [start, finish). Intervals may
     overlap; queries treat their union as bad time. Zero-length intervals

@@ -11,7 +11,6 @@ let create ~link_count ~good_loss ~bad_loss =
     invalid_arg "Link_state.create: loss rates outside [0,1]";
   { status = Bytes.make link_count '\000'; bad_count = 0; good_loss; bad_loss }
 
-let link_count t = Bytes.length t.status
 let is_bad t link = Bytes.get t.status link = '\001'
 
 let set_bad t link =
@@ -28,14 +27,3 @@ let set_good t link =
 
 let bad_count t = t.bad_count
 let loss_rate t link = if is_bad t link then t.bad_loss else t.good_loss
-let good_loss t = t.good_loss
-let bad_loss t = t.bad_loss
-
-let bad_links t =
-  let out = ref [] in
-  for link = Bytes.length t.status - 1 downto 0 do
-    if is_bad t link then out := link :: !out
-  done;
-  !out
-
-let path_is_good t links = Array.for_all (fun link -> not (is_bad t link)) links

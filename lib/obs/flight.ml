@@ -11,7 +11,6 @@ let default_capacity = 4096
 let create ?(capacity = default_capacity) () =
   { ring = Ring_buffer.create capacity; capacity; dropped = 0; recorded = 0 }
 
-let capacity t = t.capacity
 let length t = Ring_buffer.length t.ring
 let dropped t = t.dropped
 let recorded t = t.recorded

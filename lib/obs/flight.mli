@@ -20,7 +20,6 @@ val default_capacity : int
 
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
 val length : t -> int
 (** Lines currently held (≤ capacity). *)
 

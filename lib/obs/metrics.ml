@@ -79,6 +79,7 @@ let sorted_items t =
   Hashtbl.fold (fun name metric acc -> (name, metric) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* analysis: allow test-only — observation point: tests check the snapshot's counters *)
 let counters t =
   List.filter_map
     (fun (name, metric) -> match metric with Counter r -> Some (name, !r) | Gauge _ | Histo _ -> None)

@@ -8,7 +8,6 @@ let create ~cadence =
   { cadence; samples = [] }
 
 let cadence t = t.cadence
-let length t = List.length t.samples
 
 let record t ~epoch metrics =
   (* Deep-copy so the live registry can keep mutating after the snapshot. *)

@@ -18,9 +18,6 @@ val create : cadence:float -> t
 
 val cadence : t -> float
 
-val length : t -> int
-(** Snapshots recorded so far. *)
-
 val record : t -> epoch:int -> Metrics.t -> unit
 (** Snapshot the registry (deep copy) into the given epoch. *)
 

@@ -208,8 +208,6 @@ module Model = struct
     Poisson_binomial.of_probabilities
       (Array.init finger_count (fun index -> interval_probability ~n ~index))
 
-  let expected_occupancy ~n = (occupancy_model ~n).Poisson_binomial.mu_phi
-
   let monte_carlo_occupancy ~rng ~n ~trials =
     Array.init trials (fun _ ->
         let ids = Array.init n (fun _ -> Id.random rng) in

@@ -64,7 +64,6 @@ module Model : sig
   (** Probability interval k is non-empty in an N-node ring. *)
 
   val occupancy_model : n:int -> Poisson_binomial.t
-  val expected_occupancy : n:int -> float
 
   val monte_carlo_occupancy :
     rng:Concilium_util.Prng.t -> n:int -> trials:int -> float array

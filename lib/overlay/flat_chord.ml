@@ -12,14 +12,11 @@
 type t = { ring : Ring.t }
 
 let create ring = { ring }
-let ring t = t.ring
 
 (* First alive node at or after [key] clockwise — the key's owner. *)
 let owner_of_key t key =
   let ring = t.ring in
   Ring.next_alive_cyclic_from ring (Ring.insertion_point ring key)
-
-let successor t here = Ring.next_alive_cyclic t.ring here
 
 let next_hop t ~here ~dest =
   let ring = t.ring in

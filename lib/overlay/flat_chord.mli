@@ -6,14 +6,10 @@
 type t
 
 val create : Ring.t -> t
-val ring : t -> Ring.t
 
 val owner_of_key : t -> Id.t -> int
 (** First alive position at or after the key clockwise (the key's owner),
     or -1 when nothing is alive. *)
-
-val successor : t -> int -> int
-(** First alive position strictly after the argument, or -1. *)
 
 val next_hop : t -> here:int -> dest:Id.t -> int option
 (** Greedy Chord forwarding: the largest power-of-two finger jump that

@@ -19,6 +19,7 @@ let hex_value c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> invalid_arg "Id.of_hex: invalid hex character"
 
+(* analysis: allow test-only — fixture constructor: tests spell ids in hex, the inverse of to_hex *)
 let of_hex s =
   if String.length s <> digits then invalid_arg "Id.of_hex: expected 32 hex digits";
   String.init bytes_len (fun i ->
@@ -185,5 +186,3 @@ let in_clockwise_interval x ~lo ~hi =
     let to_hi = clockwise_distance lo hi in
     String.compare to_x to_hi < 0
   end
-
-let pp fmt t = Format.pp_print_string fmt (to_hex t)

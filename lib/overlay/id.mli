@@ -79,5 +79,3 @@ val floor_log2 : t -> int
 val in_clockwise_interval : t -> lo:t -> hi:t -> bool
 (** Whether [x] lies in the half-open clockwise interval [lo, hi) of the
     ring (empty when lo = hi). *)
-
-val pp : Format.formatter -> t -> unit

@@ -46,7 +46,6 @@ type t = {
   mutable total_owners : int;
 }
 
-let ring t = t.ring
 let materialized_rows t = t.rows
 let events t = t.events
 let total_writes t = t.total_writes
@@ -108,10 +107,6 @@ let own_digit_entry t ~s_lo ~s_hi o =
 let entry t ~owner ~row ~col =
   if row < t.rows then t.slots.(slot_index t ~owner ~row ~col)
   else compute_entry t ~owner ~row ~col
-
-let entry_id t ~owner ~row ~col =
-  let e = entry t ~owner ~row ~col in
-  if e < 0 then None else Some (Ring.id t.ring e)
 
 (* ---------- Bulk build: one sweep per (row, digit class) ---------- *)
 

@@ -31,14 +31,11 @@ val build : ?pool:Concilium_util.Pool.t -> ?rows:int -> Ring.t -> t
     to the sequential build for any domain count (unlike experiment shard
     counts, the task decomposition here may depend on the pool size). *)
 
-val ring : t -> Ring.t
 val materialized_rows : t -> int
 
 val entry : t -> owner:int -> row:int -> col:int -> int
 (** Universe position of the slot's peer, or -1. Any [row < Id.digits];
     rows beyond [materialized_rows] are computed on demand. *)
-
-val entry_id : t -> owner:int -> row:int -> col:int -> Id.t option
 
 val compute_entry : t -> owner:int -> row:int -> col:int -> int
 (** From-scratch slot computation (ignores the materialised value). *)

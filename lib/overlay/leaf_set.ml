@@ -37,14 +37,12 @@ let build ~owner ~sorted_ids ~half_size =
   in
   { owner; clockwise; counter_clockwise = counter }
 
-let of_members ~owner ~clockwise ~counter_clockwise = { owner; clockwise; counter_clockwise }
-
-let owner t = t.owner
+(* analysis: allow test-only — observation point: tests check the clockwise half and its
+   wraparound *)
 let clockwise t = Array.copy t.clockwise
 let counter_clockwise t = Array.copy t.counter_clockwise
 let members t = Array.to_list t.counter_clockwise @ Array.to_list t.clockwise
 let size t = Array.length t.clockwise + Array.length t.counter_clockwise
-let half_size t = max (Array.length t.clockwise) (Array.length t.counter_clockwise)
 
 let mean_spacing t =
   let count = size t in
@@ -62,7 +60,8 @@ let mean_spacing t =
     span /. float_of_int count
   end
 
-let density t = 1. /. mean_spacing t
+(* analysis: allow test-only — the paper's network-size estimate; nothing calls it yet; deleting
+   it deletes its test, left for a later change *)
 let estimate_network_size t = Id.ring_size_float /. mean_spacing t
 
 let covers t dest =

@@ -10,14 +10,8 @@ val build : owner:Id.t -> sorted_ids:Id.t array -> half_size:int -> t
     (the owner may appear; it is skipped). If fewer than [2 * half_size]
     other identifiers exist, the leaf set simply holds everyone. *)
 
-val of_members : owner:Id.t -> clockwise:Id.t array -> counter_clockwise:Id.t array -> t
-(** Assemble a leaf set directly — used to model adversaries advertising
-    fabricated (e.g. sparse) leaf sets. Arrays are ordered nearest-first. *)
-
-val owner : t -> Id.t
 val members : t -> Id.t list
 val size : t -> int
-val half_size : t -> int
 
 val clockwise : t -> Id.t array
 val counter_clockwise : t -> Id.t array
@@ -25,9 +19,6 @@ val counter_clockwise : t -> Id.t array
 val mean_spacing : t -> float
 (** Average inter-identifier spacing across the leaf set's span of the ring
     (float approximation; spacings are astronomically large). *)
-
-val density : t -> float
-(** 1 / {!mean_spacing}: identifiers per unit of ring. *)
 
 val estimate_network_size : t -> float
 (** Mahajan et al.: ring size divided by mean spacing. *)

@@ -25,11 +25,6 @@ let of_sorted_ids ids =
   done;
   { ids; alive; alive_count = n }
 
-let of_ids ids =
-  let sorted = Array.copy ids in
-  Array.sort Id.compare sorted;
-  of_sorted_ids sorted
-
 let size t = Array.length t.ids
 let alive_count t = t.alive_count
 let id t i = t.ids.(i)

@@ -11,9 +11,6 @@ val of_sorted_ids : Id.t array -> t
 (** All positions initially alive. @raise Invalid_argument unless the ids
     are strictly ascending. The array is owned by the ring afterwards. *)
 
-val of_ids : Id.t array -> t
-(** Sorts a copy. @raise Invalid_argument on duplicate ids. *)
-
 val size : t -> int
 val alive_count : t -> int
 val id : t -> int -> Id.t

@@ -33,8 +33,7 @@ let tag_accusation = 2
 let tag_defense = 3
 let tag_tap = 4
 let tag_failover = 5
-let tag_consolidation = 6
-let tag_rebuttal = 7
+let tag_rebuttal = 6
 
 type t = {
   recording : bool;
@@ -93,6 +92,7 @@ let noop =
   }
 
 let enabled t = t.recording
+(* analysis: allow test-only — observation point: tests inspect the recorded DAG *)
 let node_count t = t.count
 let edge_count t = t.edge_count
 
@@ -136,7 +136,6 @@ let kind_name tag =
   else if tag = tag_defense then "defense"
   else if tag = tag_tap then "tap"
   else if tag = tag_failover then "failover"
-  else if tag = tag_consolidation then "consolidation"
   else "rebuttal"
 
 let verdict_name = function
@@ -207,10 +206,6 @@ let add_node_fields buf t i =
       (Json.quote
          (failover_name (if t.ia.(i) = 0 then Dht_put else if t.ia.(i) = 1 then Dht_get else Steward)))
       t.ib.(i) t.fa.(i)
-  else if tag = tag_consolidation then
-    add {|, "link": %d, "up": %b, "up_votes": %d, "down_votes": %d|} t.ia.(i)
-      (t.ic.(i) land 1 <> 0)
-      t.ib.(i) t.id_.(i)
   else
     add {|, "accuser": %d, "accused": %d, "outcome": %s|} t.ia.(i) t.ib.(i)
       (Json.quote
@@ -265,6 +260,7 @@ let set_param t name value =
     if t.tap <> None then emit_tap t (param_line name value)
   end
 
+(* analysis: allow test-only — observation point: tests inspect the recorded DAG *)
 let param t name = List.assoc_opt name t.params
 
 let flags ~up ~tapped ~forged =
@@ -297,11 +293,6 @@ let failover t ~kind ~node ~time =
   let k = match kind with Dht_put -> 0 | Dht_get -> 1 | Steward -> 2 in
   add_node t ~tag:tag_failover ~ia:k ~ib:node ~ic:0 ~id_:0 ~fa:time ~fb:0.
 
-let consolidation t ~link ~up ~up_votes ~down_votes =
-  add_node t ~tag:tag_consolidation ~ia:link ~ib:up_votes
-    ~ic:(if up then 1 else 0)
-    ~id_:down_votes ~fa:0. ~fb:0.
-
 let rebuttal t ~accuser ~accused ~outcome =
   let k = match outcome with Stands -> 0 | Shifted -> 1 | Invalid -> 2 in
   add_node t ~tag:tag_rebuttal ~ia:accuser ~ib:accused ~ic:k ~id_:0 ~fa:0. ~fb:0.
@@ -317,10 +308,12 @@ let children t node =
     walk t.head.(node - 1) []
   end
 
+(* analysis: allow test-only — observation point: tests inspect the recorded DAG *)
 let kind_of t node =
   if node <= 0 || node > t.count then invalid_arg "Provenance: node out of range"
   else kind_name (Char.code (Bytes.get t.tags (node - 1)))
 
+(* analysis: allow test-only — observation point: tests inspect the recorded DAG *)
 let verdicts t =
   let out = ref [] in
   for i = t.count - 1 downto 0 do

@@ -115,13 +115,18 @@ let build ?pool config =
     episode_rngs = [||];
   }
 
+(* analysis: allow test-only — observation point: tests route on the churned ring *)
 let ring t = t.ring
 let table t = t.table
 let chord t = t.chord
 let clock t = t.clock
+(* analysis: allow test-only — observation point: tests account for every churn event *)
 let events_total t = Array.length t.events
+(* analysis: allow test-only — observation point: tests account for every churn event *)
 let events_applied t = t.applied
+(* analysis: allow test-only — observation point: tests account for every churn event *)
 let events_skipped t = t.skipped
+(* analysis: allow test-only — observation point: tests account for every churn event *)
 let events_pending t = Array.length t.events - t.cursor
 
 (* Apply one churn event: a toggle of its host's liveness, through the
@@ -154,6 +159,8 @@ let step_event t =
     true
   end
 
+(* analysis: allow test-only — test driver: tests apply the churn schedule up to a time, then
+   route *)
 let advance_to t time =
   let before = t.applied in
   let continue = ref true in

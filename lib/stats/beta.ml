@@ -62,18 +62,3 @@ let sample rng ~alpha ~beta =
     let y = sample_gamma rng beta in
     x /. (x +. y)
   end
-
-let mean ~alpha ~beta =
-  check alpha beta;
-  alpha /. (alpha +. beta)
-
-let log_pdf ~alpha ~beta x =
-  check alpha beta;
-  if x <= 0. || x >= 1. then neg_infinity
-  else
-    ((alpha -. 1.) *. log x)
-    +. ((beta -. 1.) *. log (1. -. x))
-    +. Special.log_gamma (alpha +. beta)
-    -. Special.log_gamma alpha -. Special.log_gamma beta
-
-let pdf ~alpha ~beta x = exp (log_pdf ~alpha ~beta x)

@@ -6,8 +6,3 @@ val sample : Concilium_util.Prng.t -> alpha:float -> beta:float -> float
 (** Draw from Beta(alpha, beta). Uses Johnk's algorithm when both shape
     parameters are <= 1 (the paper's case) and gamma-ratio sampling
     (Marsaglia-Tsang) otherwise. *)
-
-val mean : alpha:float -> beta:float -> float
-
-val log_pdf : alpha:float -> beta:float -> float -> float
-val pdf : alpha:float -> beta:float -> float -> float

@@ -42,11 +42,3 @@ let survival ~n ~p k =
       min 1. !acc
     end
   end
-
-let mean ~n ~p =
-  check n p;
-  float_of_int n *. p
-
-let variance ~n ~p =
-  check n p;
-  float_of_int n *. p *. (1. -. p)

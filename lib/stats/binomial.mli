@@ -11,6 +11,3 @@ val cdf : n:int -> p:float -> int -> float
 val survival : n:int -> p:float -> int -> float
 (** [survival ~n ~p k] = Pr(X >= k). This is the paper's false-positive
     expression with [k = m], and [cdf ~n ~p (m-1)] is its false negative. *)
-
-val mean : n:int -> p:float -> float
-val variance : n:int -> p:float -> float

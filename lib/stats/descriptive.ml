@@ -25,32 +25,3 @@ let summarize samples =
   { count = n; mean = mu; variance; stddev = sqrt variance; minimum; maximum }
 
 let stddev samples = (summarize samples).stddev
-
-let quantile samples q =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Descriptive.quantile: empty sample";
-  if q < 0. || q > 1. then invalid_arg "Descriptive.quantile: q outside [0,1]";
-  let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
-  let position = q *. float_of_int (n - 1) in
-  let lower = int_of_float (floor position) in
-  let upper = min (n - 1) (lower + 1) in
-  let weight = position -. float_of_int lower in
-  ((1. -. weight) *. sorted.(lower)) +. (weight *. sorted.(upper))
-
-module Online = struct
-  type t = { mutable count : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { count = 0; mean = 0.; m2 = 0. }
-
-  let add t x =
-    t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.count
-  let mean t = if t.count = 0 then 0. else t.mean
-  let variance t = if t.count = 0 then 0. else t.m2 /. float_of_int t.count
-  let stddev t = sqrt (variance t)
-end

@@ -14,21 +14,3 @@ val summarize : float array -> summary
 
 val mean : float array -> float
 val stddev : float array -> float
-
-val quantile : float array -> float -> float
-(** [quantile samples q] for q in [0,1], linear interpolation between order
-    statistics. The input need not be sorted. *)
-
-module Online : sig
-  (** Welford's streaming moments, for accumulating statistics without
-      retaining samples. *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-end

@@ -35,12 +35,3 @@ let pdf t =
     let scale = 1. /. (float_of_int t.total *. bin_width t) in
     Array.map (fun c -> float_of_int c *. scale) t.counts
   end
-
-let fraction_at_least t x =
-  if t.total = 0 then 0.
-  else begin
-    let centers = bin_centers t in
-    let matching = ref 0 in
-    Array.iteri (fun i center -> if center >= x then matching := !matching + t.counts.(i)) centers;
-    float_of_int !matching /. float_of_int t.total
-  end

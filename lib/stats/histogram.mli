@@ -21,7 +21,3 @@ val bin_centers : t -> float array
 val pdf : t -> float array
 (** Densities normalised so the histogram integrates to 1 (each count divided
     by total * bin_width). All-zero if no samples were added. *)
-
-val fraction_at_least : t -> float -> float
-(** [fraction_at_least t x] is the fraction of samples whose *bin center* is
-    >= x -- used for threshold sweeps over recorded pdfs. *)

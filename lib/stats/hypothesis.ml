@@ -1,18 +1,3 @@
-let two_proportion_z ~successes1 ~trials1 ~successes2 ~trials2 =
-  if trials1 = 0 || trials2 = 0 then 0.
-  else begin
-    let n1 = float_of_int trials1 and n2 = float_of_int trials2 in
-    let p1 = float_of_int successes1 /. n1 in
-    let p2 = float_of_int successes2 /. n2 in
-    let pooled = float_of_int (successes1 + successes2) /. (n1 +. n2) in
-    let se = sqrt (pooled *. (1. -. pooled) *. ((1. /. n1) +. (1. /. n2))) in
-    if se = 0. then 0. else (p1 -. p2) /. se
-  end
-
-let two_proportion_p_value ~successes1 ~trials1 ~successes2 ~trials2 =
-  let z = two_proportion_z ~successes1 ~trials1 ~successes2 ~trials2 in
-  2. *. (1. -. Normal.standard_cdf (abs_float z))
-
 let one_proportion_z ~successes ~trials ~p0 =
   if trials = 0 then 0.
   else begin
@@ -21,6 +6,3 @@ let one_proportion_z ~successes ~trials ~p0 =
     let se = sqrt (p0 *. (1. -. p0) /. n) in
     if se = 0. then 0. else (p_hat -. p0) /. se
   end
-
-let one_proportion_p_value_upper ~successes ~trials ~p0 =
-  1. -. Normal.standard_cdf (one_proportion_z ~successes ~trials ~p0)

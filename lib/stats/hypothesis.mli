@@ -4,15 +4,5 @@
     leaves that suppress acks show an excess marginal loss that these tests
     flag. *)
 
-val two_proportion_z : successes1:int -> trials1:int -> successes2:int -> trials2:int -> float
-(** Pooled two-proportion z statistic for H0: p1 = p2. Positive when sample 1
-    has the higher proportion. Returns 0 when either trial count is 0. *)
-
-val two_proportion_p_value : successes1:int -> trials1:int -> successes2:int -> trials2:int -> float
-(** Two-sided p-value of the above. *)
-
 val one_proportion_z : successes:int -> trials:int -> p0:float -> float
 (** z statistic for an observed proportion against a hypothesised p0. *)
-
-val one_proportion_p_value_upper : successes:int -> trials:int -> p0:float -> float
-(** One-sided p-value for the alternative "true proportion > p0". *)

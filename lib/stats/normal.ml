@@ -1,10 +1,4 @@
 let sqrt_two = sqrt 2.
-let sqrt_two_pi = sqrt (2. *. Float.pi)
-
-let pdf ~mu ~sigma x =
-  if sigma <= 0. then invalid_arg "Normal.pdf: sigma must be positive";
-  let z = (x -. mu) /. sigma in
-  exp (-0.5 *. z *. z) /. (sigma *. sqrt_two_pi)
 
 let standard_cdf x = 0.5 *. (1. +. Special.erf (x /. sqrt_two))
 
@@ -85,7 +79,3 @@ let standard_quantile p =
     let q = sqrt (-2. *. log (1. -. p)) in
     -.rational c d q
   end
-
-let quantile ~mu ~sigma p =
-  if sigma <= 0. then invalid_arg "Normal.quantile: sigma must be positive";
-  mu +. (sigma *. standard_quantile p)

@@ -1,12 +1,7 @@
 (** The normal distribution. The paper's jump-table occupancy model and
     accusation analysis both lean on the normal cdf (phi in Section 3.1). *)
 
-val pdf : mu:float -> sigma:float -> float -> float
 val cdf : mu:float -> sigma:float -> float -> float
-
-val quantile : mu:float -> sigma:float -> float -> float
-(** Inverse cdf (Acklam's rational approximation, |relative error| < 1.15e-9).
-    Argument must lie in (0, 1). *)
 
 val standard_cdf : float -> float
 val standard_quantile : float -> float

@@ -30,6 +30,3 @@ val cdf : t -> float -> float
 val pmf_with_continuity : t -> int -> float
 (** Pr(occupancy = d) approximated as phi(d + 1/2) - phi(d - 1/2), the
     continuity-corrected band the paper uses inside its FP/FN sums. *)
-
-val mean_fraction : t -> float
-(** Expected fraction of slots occupied, mu. *)

@@ -51,4 +51,3 @@ let erf_positive x =
   1. -. (poly *. exp (-.x *. x))
 
 let erf x = if x >= 0. then erf_positive x else -.erf_positive (-.x)
-let erfc x = 1. -. erf x

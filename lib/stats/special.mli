@@ -11,5 +11,3 @@ val log_binomial_coefficient : int -> int -> float
 val erf : float -> float
 (** Error function, accurate to ~1.2e-7 (Abramowitz & Stegun 7.1.26 with
     symmetry). *)
-
-val erfc : float -> float

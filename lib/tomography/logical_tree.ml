@@ -4,7 +4,6 @@ type t = {
   children : int array array;
   leaves : int array;
   chains : int array array;
-  physical_nodes : int array;
   descendant_leaves : int array array;
 }
 
@@ -66,7 +65,7 @@ let of_tree tree =
   let descendant_leaves =
     Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) descendant_lists
   in
-  { physical = tree; parents; children; leaves; chains; physical_nodes; descendant_leaves }
+  { physical = tree; parents; children; leaves; chains; descendant_leaves }
 
 let physical t = t.physical
 let node_count t = Array.length t.parents
@@ -74,6 +73,5 @@ let parent t node = t.parents.(node)
 let children t node = t.children.(node)
 let leaves t = Array.copy t.leaves
 let chain t node = Array.copy t.chains.(node)
-let physical_node t node = t.physical_nodes.(node)
 let leaf_count t = Array.length t.leaves
 let descendant_leaves t node = Array.copy t.descendant_leaves.(node)

@@ -25,9 +25,6 @@ val chain : t -> int -> int array
 (** Physical link ids collapsed into the logical link above a node (root ->
     empty). Ordered top-down. *)
 
-val physical_node : t -> int -> int
-(** The physical tree node a logical node stands for. *)
-
 val leaf_count : t -> int
 
 val descendant_leaves : t -> int -> int array

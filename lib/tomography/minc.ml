@@ -120,14 +120,6 @@ let infer_reference logical ~acked =
 
 let link_loss estimate node = 1. -. estimate.link_success.(node)
 
-let suspect_physical_links estimate ~loss_threshold =
-  let out = ref [] in
-  for node = 1 to Logical_tree.node_count estimate.logical - 1 do
-    if link_loss estimate node > loss_threshold then
-      Array.iter (fun link -> out := link :: !out) (Logical_tree.chain estimate.logical node)
-  done;
-  List.sort_uniq Int.compare !out
-
 let infer_from_rounds ?(trace = Concilium_obs.Trace.noop) ?parent ?(time = 0.) logical rounds =
   let module Trace = Concilium_obs.Trace in
   let span =

@@ -37,11 +37,6 @@ val infer_reference : Logical_tree.t -> acked:bool array array -> estimate
 val link_loss : estimate -> int -> float
 (** [1 - link_success] for a logical node. *)
 
-val suspect_physical_links : estimate -> loss_threshold:float -> int list
-(** Physical links lying in logical chains whose inferred loss exceeds the
-    threshold — the links Concilium treats as "probed down". Sorted,
-    deduplicated. *)
-
 val infer_from_rounds :
   ?trace:Concilium_obs.Trace.t ->
   ?parent:Concilium_obs.Trace.span ->

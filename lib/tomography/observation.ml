@@ -20,18 +20,3 @@ let on_link t ~link ~lo ~hi =
   | Some cell ->
       List.rev
         (List.filter (fun obs -> obs.time >= lo && obs.time <= hi) !cell)
-
-let latest_on_link t ~link =
-  match Hashtbl.find_opt t.table link with
-  | None | Some { contents = [] } -> None
-  | Some { contents = newest :: _ } -> Some newest
-
-let prune_before t horizon =
-  (* analysis: allow hashtbl-order — each cell is filtered independently;
-     the visit order cannot change the outcome. *)
-  Hashtbl.iter
-    (fun _ cell ->
-      let kept = List.filter (fun obs -> obs.time >= horizon) !cell in
-      t.count <- t.count - (List.length !cell - List.length kept);
-      cell := kept)
-    t.table

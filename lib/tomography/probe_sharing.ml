@@ -1,5 +1,3 @@
-module Graph = Concilium_provenance.Graph
-
 type plan = {
   members : int array;
   individual_links : int;
@@ -25,73 +23,6 @@ let plan ~trees ~members =
     amortization =
       (if !individual = 0 then 1. else float_of_int consolidated /. float_of_int !individual);
   }
-
-type report = { member : int; link : int; up : bool }
-
-type consensus = {
-  link : int;
-  up : bool;
-  up_votes : int;
-  down_votes : int;
-  unanimous : bool;
-}
-
-let consolidate ?(prov = Graph.noop) reports =
-  (* One vote per (member, link), latest report winning — so a member
-     stuffing duplicate corroborating reports moves nothing. *)
-  let votes = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun r ->
-      let key = (r.member, r.link) in
-      if not (Hashtbl.mem votes key) then order := key :: !order;
-      Hashtbl.replace votes key r.up)
-    reports;
-  let by_link = Hashtbl.create 64 in
-  List.iter
-    (fun ((_, link) as key) ->
-      let up = Hashtbl.find votes key in
-      let ups, downs =
-        match Hashtbl.find_opt by_link link with Some c -> c | None -> (0, 0)
-      in
-      Hashtbl.replace by_link link (if up then (ups + 1, downs) else (ups, downs + 1)))
-    !order;
-  let links =
-    List.sort Int.compare (Hashtbl.fold (fun link _ acc -> link :: acc) by_link [])
-  in
-  List.map
-    (fun link ->
-      let up_votes, down_votes = Hashtbl.find by_link link in
-      let consensus =
-        {
-          link;
-          (* Ties resolve down: a split collective treats the link as
-             suspect and re-probes rather than vouching for it. *)
-          up = up_votes > down_votes;
-          up_votes;
-          down_votes;
-          unanimous = up_votes = 0 || down_votes = 0;
-        }
-      in
-      (* Each consensus joins the provenance DAG with the counted votes as
-         probe children (in first-report member order — the counting
-         order), so a verdict leaning on shared tomography can show which
-         member claimed what. *)
-      if Graph.enabled prov then begin
-        let cnode =
-          Graph.consolidation prov ~link ~up:consensus.up ~up_votes ~down_votes
-        in
-        List.iter
-          (fun ((member, l) as key) ->
-            if l = link then
-              Graph.edge prov ~parent:cnode
-                ~child:
-                  (Graph.probe prov ~prober:member ~link ~time:0.
-                     ~up:(Hashtbl.find votes key) ~tapped:false ~forged:false))
-          (List.rev !order)
-      end;
-      consensus)
-    links
 
 let individual_bytes plan ~per_tree_bytes =
   float_of_int (Array.length plan.members) *. per_tree_bytes

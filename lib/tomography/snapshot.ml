@@ -12,30 +12,6 @@ type path_summary = {
 type body = { origin : Id.t; issued_at : float; summaries : path_summary list }
 type t = body Signed.t
 
-(* Sixteen levels skewed towards low loss, where resolution matters. *)
-let loss_levels =
-  [|
-    0.0; 0.005; 0.01; 0.02; 0.03; 0.05; 0.08; 0.12; 0.18; 0.25; 0.35; 0.5; 0.65; 0.8; 0.9; 1.0;
-  |]
-
-let quantize_loss loss =
-  if loss < 0. || loss > 1. then invalid_arg "Snapshot.quantize_loss: loss outside [0,1]";
-  let best = ref 0 and best_gap = ref infinity in
-  Array.iteri
-    (fun level value ->
-      let gap = abs_float (value -. loss) in
-      if gap < !best_gap then begin
-        best := level;
-        best_gap := gap
-      end)
-    loss_levels;
-  !best
-
-let level_to_loss level =
-  if level < 0 || level >= Array.length loss_levels then
-    invalid_arg "Snapshot.level_to_loss: level out of range";
-  loss_levels.(level)
-
 let serialize_summary s =
   Printf.sprintf "%s:%d:%s" (Id.to_hex s.peer) s.loss_level
     (Freshness.serialize (Signed.payload s.freshness))
@@ -58,19 +34,3 @@ let wire_bytes t =
   let body = Signed.payload t in
   let entries = List.length body.summaries in
   header_bytes + (entries * (entry_bytes + summary_bytes)) + Pki.modeled_signature_bytes
-
-let diff_entries ~previous ~current =
-  let old_levels = Hashtbl.create 64 in
-  List.iter
-    (fun s -> Hashtbl.replace old_levels (Id.to_hex s.peer) s.loss_level)
-    (Signed.payload previous).summaries;
-  List.filter
-    (fun s ->
-      match Hashtbl.find_opt old_levels (Id.to_hex s.peer) with
-      | Some level -> level <> s.loss_level
-      | None -> true)
-    (Signed.payload current).summaries
-
-let diff_wire_bytes ~previous ~current =
-  let changed = List.length (diff_entries ~previous ~current) in
-  header_bytes + (changed * (entry_bytes + summary_bytes)) + Pki.modeled_signature_bytes

@@ -26,15 +26,6 @@ type body = {
 
 type t = body Signed.t
 
-val quantize_loss : float -> int
-(** Map a loss rate in [0,1] to the nearest predefined level. *)
-
-val level_to_loss : int -> float
-(** Representative loss rate of a level. *)
-
-val loss_levels : float array
-(** The sixteen predefined levels, ascending. *)
-
 val make :
   origin:Id.t ->
   secret:Pki.secret_key ->
@@ -53,15 +44,3 @@ val wire_bytes : t -> int
 (** Modeled wire size (Section 4.4): 16-byte identifier + 4-byte timestamp
     + signature = 144 bytes per entry, plus one byte of path summary each,
     plus the snapshot signature and header. *)
-
-val diff_entries : previous:t -> current:t -> path_summary list
-(** Entries of [current] that are new or whose quantised loss level changed
-    since [previous] — what an incremental advertisement must carry.
-    Freshness stamps refresh continuously and piggyback on availability
-    probes regardless, so timestamp-only changes do not count. *)
-
-val diff_wire_bytes : previous:t -> current:t -> int
-(** Modeled size of the incremental advertisement (Section 4.4 notes that
-    "sending diffs for updated entries instead of entire tables" cuts the
-    routing-state overhead): header + signature + only the changed
-    entries. *)

@@ -93,6 +93,7 @@ let parent_link t node = t.parent_links.(node)
 let children t node = t.children.(node)
 let leaves t = Array.copy t.leaves
 
+(* analysis: allow test-only — observation point: tests check every leaf's path *)
 let leaf_of_router t router =
   match Hashtbl.find_opt t.by_router router with
   | Some node when Array.exists (( = ) node) t.leaves -> Some node

@@ -129,9 +129,11 @@ let generate p =
   let classes = Array.of_list (List.rev !classes) in
   { graph; classes; params = p }
 
+(* analysis: allow test-only — observation point: tests check the generated population *)
 let end_host_count world =
   Array.fold_left
     (fun acc cls -> match cls with End_host -> acc + 1 | Transit | Stub -> acc)
     0 world.classes
 
+(* analysis: allow test-only — observation point: tests check the generated population *)
 let class_of world node = world.classes.(node)

@@ -37,8 +37,6 @@ module Builder = struct
       end
     end
 
-  let node_count b = b.nodes
-  let link_count b = b.edge_count
 end
 
 let build (b : Builder.b) =
@@ -80,22 +78,15 @@ let node_count t = t.node_count
 let link_count t = t.link_count
 let degree t node = t.offsets.(node + 1) - t.offsets.(node)
 
-let mean_degree t =
-  if t.node_count = 0 then 0.
-  else 2. *. float_of_int t.link_count /. float_of_int t.node_count
-
 let iter_neighbors t node f =
   for i = t.offsets.(node) to t.offsets.(node + 1) - 1 do
     f ~neighbor:t.targets.(i) ~link:t.links.(i)
   done
 
-let fold_neighbors t node ~init ~f =
-  let acc = ref init in
-  iter_neighbors t node (fun ~neighbor ~link -> acc := f !acc ~neighbor ~link);
-  !acc
-
+(* analysis: allow test-only — observation point: tests check paths link by link *)
 let link_endpoints t link = (t.endpoints_lo.(link), t.endpoints_hi.(link))
 
+(* analysis: allow test-only — observation point: tests name links by their endpoints *)
 let link_between t u v =
   let found = ref None in
   iter_neighbors t u (fun ~neighbor ~link -> if neighbor = v then found := Some link);
@@ -108,6 +99,7 @@ let end_hosts t =
   done;
   Array.of_list !out
 
+(* analysis: allow test-only — oracle: tests check every generated topology is connected *)
 let is_connected t =
   if t.node_count = 0 then true
   else begin

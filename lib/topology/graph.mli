@@ -18,8 +18,6 @@ module Builder : sig
   val add_link : b -> int -> int -> unit
   (** Add an undirected link. Self-loops and duplicate links are ignored. *)
 
-  val node_count : b -> int
-  val link_count : b -> int
 end
 
 val build : Builder.b -> t
@@ -27,12 +25,9 @@ val build : Builder.b -> t
 val node_count : t -> int
 val link_count : t -> int
 val degree : t -> int -> int
-val mean_degree : t -> float
 
 val iter_neighbors : t -> int -> (neighbor:int -> link:int -> unit) -> unit
 (** Visit a node's incident links in a fixed deterministic order. *)
-
-val fold_neighbors : t -> int -> init:'a -> f:('a -> neighbor:int -> link:int -> 'a) -> 'a
 
 val link_endpoints : t -> int -> int * int
 (** Endpoints of a link, smaller node id first. *)

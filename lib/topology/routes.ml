@@ -36,6 +36,8 @@ let shortest_paths graph ~source ~targets =
 let shortest_path graph ~source ~target =
   (shortest_paths graph ~source ~targets:[| target |]).(0)
 
+(* analysis: allow test-only — nothing calls it yet; deleting it deletes its test, left for a
+   later change *)
 let link_depth_fraction p i =
   let count = hop_count p in
   if i < 0 || i >= count then invalid_arg "Routes.link_depth_fraction: index out of range";

@@ -21,5 +21,4 @@ val shortest_path : Graph.t -> source:int -> target:int -> path option
 
 val link_depth_fraction : path -> int -> float
 (** Position of the i-th link of a path, normalised to [0, 1]: 0 at the
-    source edge, 1 at the destination edge. Used to bias failures towards
-    the network edge (Section 4.2's beta-distributed depth). *)
+    source edge, 1 at the destination edge. *)

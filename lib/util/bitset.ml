@@ -15,8 +15,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Bytes.make ((capacity + 7) / 8) '\000'; capacity }
 
-let capacity t = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"
 
@@ -38,29 +36,6 @@ let cardinal t =
   let total = ref 0 in
   for b = 0 to Bytes.length t.words - 1 do
     total := !total + Char.code (Bytes.get popcount_table (Char.code (Bytes.get t.words b)))
-  done;
-  !total
-
-let is_empty t =
-  let rec scan b = b >= Bytes.length t.words || (Bytes.get t.words b = '\000' && scan (b + 1)) in
-  scan 0
-
-let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
-let copy t = { words = Bytes.copy t.words; capacity = t.capacity }
-
-let union_into ~dst src =
-  if dst.capacity <> src.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
-  for b = 0 to Bytes.length dst.words - 1 do
-    let merged = Char.code (Bytes.get dst.words b) lor Char.code (Bytes.get src.words b) in
-    Bytes.set dst.words b (Char.chr merged)
-  done
-
-let inter_cardinal a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset.inter_cardinal: capacity mismatch";
-  let total = ref 0 in
-  for i = 0 to Bytes.length a.words - 1 do
-    let shared = Char.code (Bytes.get a.words i) land Char.code (Bytes.get b.words i) in
-    total := !total + Char.code (Bytes.get popcount_table shared)
   done;
   !total
 
@@ -121,15 +96,3 @@ let iter f t =
         if byte land (1 lsl bit) <> 0 then f ((b lsl 3) + bit)
       done
   done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let of_list capacity members =
-  let t = create capacity in
-  List.iter (add t) members;
-  t

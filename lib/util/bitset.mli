@@ -9,21 +9,10 @@ val create : int -> t
 (** [create n] is an empty set with capacity [n] (members range over
     [0, n-1]). *)
 
-val capacity : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val cardinal : t -> int
-val is_empty : t -> bool
-val clear : t -> unit
-val copy : t -> t
-
-val union_into : dst:t -> t -> unit
-(** [union_into ~dst src] adds every member of [src] to [dst]. The two sets
-    must have equal capacity. *)
-
-val inter_cardinal : t -> t -> int
-(** Number of members shared by two equal-capacity sets. *)
 
 val next_member : t -> int -> int
 (** [next_member t i] is the smallest member [>= i], or [-1] when none.
@@ -33,6 +22,3 @@ val prev_member : t -> int -> int
 (** [prev_member t i] is the largest member [<= i], or [-1] when none. *)
 
 val iter : (int -> unit) -> t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val to_list : t -> int list
-val of_list : int -> int list -> t

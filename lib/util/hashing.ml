@@ -13,5 +13,3 @@ let fnv1a_int acc x =
     h := Int64.mul (Int64.logxor !h byte) prime
   done;
   !h
-
-let to_positive_int h = Int64.to_int h land max_int

@@ -10,6 +10,3 @@ val fnv1a_int : int64 -> int64 -> int64
 
 val offset : int64
 (** The FNV-1a offset basis. *)
-
-val to_positive_int : int64 -> int
-(** Truncate a hash to a non-negative OCaml [int], for bucket indices. *)

@@ -10,7 +10,6 @@ let create capacity =
 
 let capacity t = Array.length t.data
 let length t = t.length
-let is_full t = t.length = capacity t
 
 let push t x =
   let cap = capacity t in

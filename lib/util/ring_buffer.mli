@@ -9,7 +9,6 @@ val create : int -> 'a t
 
 val capacity : 'a t -> int
 val length : 'a t -> int
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> 'a option
 (** Append a newest element; returns the evicted oldest element if the

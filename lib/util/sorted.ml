@@ -9,9 +9,3 @@ let search predicate a =
 
 let lower_bound compare a x = search (fun y -> compare y x >= 0) a
 let upper_bound compare a x = search (fun y -> compare y x > 0) a
-
-let mem compare a x =
-  let i = lower_bound compare a x in
-  i < Array.length a && compare a.(i) x = 0
-
-let equal_range compare a x = (lower_bound compare a x, upper_bound compare a x)

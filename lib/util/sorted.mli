@@ -7,8 +7,3 @@ val lower_bound : ('a -> 'a -> int) -> 'a array -> 'a -> int
 
 val upper_bound : ('a -> 'a -> int) -> 'a array -> 'a -> int
 (** First index whose element is strictly [> x]. *)
-
-val mem : ('a -> 'a -> int) -> 'a array -> 'a -> bool
-
-val equal_range : ('a -> 'a -> int) -> 'a array -> 'a -> int * int
-(** [(lo, hi)] such that elements equal to [x] occupy indices [lo..hi-1]. *)

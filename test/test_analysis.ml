@@ -31,7 +31,7 @@ let base_layers = "util\ncore\nexperiments\nbin\n"
 
 let analyze ?(layers = base_layers) files =
   Driver.analyze_sources ~layers_path:"analysis/layers.txt" ~layers_text:layers ~dunes:[]
-    ~files:(base_files @ files)
+    ~files:(base_files @ files) ()
 
 let finding_rules report =
   List.sort_uniq String.compare
@@ -125,9 +125,11 @@ let run ?pool ~seed n =
 
 let test_canaries_detected () =
   let core_stub = ("lib/core/scenario.ml", "let default = 1\n") in
+  (* an entry point, so the reachability pass has a root to judge from *)
+  let root = ("bin/main.ml", "let () = ignore Concilium_core.Scenario.default\n") in
   List.iter
     (fun (c : Inject.canary) ->
-      let report = analyze [ core_stub; (c.Inject.c_path, c.Inject.c_source) ] in
+      let report = analyze [ core_stub; root; (c.Inject.c_path, c.Inject.c_source) ] in
       check bool (c.Inject.c_name ^ " detected") true (fired c.Inject.c_rule report);
       if String.length c.Inject.c_rule >= 4 && String.sub c.Inject.c_rule 0 4 = "pool" then
         List.iter
@@ -139,6 +141,117 @@ let test_canaries_detected () =
 
 let test_canary_count () =
   check bool "at least three canaries" true (List.length Inject.canaries >= 3)
+
+(* ---------- Nested modules ---------- *)
+
+let test_nested_sibling_call_resolved () =
+  let src =
+    {|module Pool = Concilium_util.Pool
+
+let totals : (int, int) Hashtbl.t = Hashtbl.create 16
+
+module Inner = struct
+  let bump key = Hashtbl.replace totals key 1
+  let note key = bump (key + 1)
+end
+
+let run ?pool () = Pool.parallel_init ?pool 4 ~f:(fun i -> Inner.note i)
+|}
+  in
+  let report = analyze [ ("lib/experiments/nest.ml", src) ] in
+  check bool "Inner.note -> Inner.bump is an edge" true
+    (List.exists
+       (fun (caller, callee) ->
+         caller.Callgraph.k_fn = "Inner.note" && callee.Callgraph.k_fn = "Inner.bump")
+       report.Driver.r_edges);
+  check bool "the write behind the nested call reaches the task" true
+    (fired "pool-shared-write" report)
+
+(* ---------- Reachability ---------- *)
+
+let lib_src =
+  {|let dead x = x + 1
+
+let helper x = x * 2
+
+let only_dead y = helper y
+
+let tested x = x - 1
+
+let step x = x + 3
+
+let apply f = f 1
+
+type ops = { run : int -> int }
+
+let table = { run = step }
+
+let incr x = x + 1
+
+module Model = struct
+  let inner x = x + 7
+  let outer x = inner x
+end
+
+let for_bench x = x
+let for_example x = x
+let for_perfbench x = x
+|}
+
+let reach_files ?(lib = lib_src) () =
+  [
+    ("lib/core/subject.ml", lib);
+    ( "bin/main.ml",
+      {|module S = Concilium_core.Subject
+
+let () = ignore (S.apply S.incr + S.table.S.run 2 + S.Model.outer 3)
+|} );
+    ("bench/main.ml", "let () = ignore (Concilium_core.Subject.for_bench 1)\n");
+    ("examples/demo.ml", "let () = ignore (Concilium_core.Subject.for_example 1)\n");
+    ("test/test_subject.ml", "let check () = Concilium_core.Subject.tested 2\n");
+  ]
+
+let perfbench = [ ("perfbench/bench.ml", "let () = ignore (Concilium_core.Subject.for_perfbench 1)\n") ]
+
+let reach_report ?lib () =
+  Driver.analyze_sources ~consumers:perfbench ~layers_path:"analysis/layers.txt"
+    ~layers_text:"util\ncore\nbin test bench examples\n" ~dunes:[] ~files:(reach_files ?lib ()) ()
+
+let reach_findings report =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      if f.Finding.rule = "unreachable" || f.Finding.rule = "test-only" then
+        Some (f.Finding.rule, f.Finding.line)
+      else None)
+    report.Driver.r_findings
+
+(* Exactly the dead, the transitively dead and the test-only lines: a
+   function passed as a value (17) or stored in a record of closures (9),
+   a nested-module sibling call (20), and definitions only a bench/,
+   examples/ or perfbench/ root reaches (24-26) are not reported. *)
+let test_reach_reported () =
+  check (list (pair string int)) "dead, transitively dead, test-only"
+    [ ("unreachable", 1); ("unreachable", 3); ("unreachable", 5); ("test-only", 7) ]
+    (reach_findings (reach_report ()))
+
+let test_reach_without_roots () =
+  let report = analyze [ ("lib/core/subject.ml", lib_src) ] in
+  check (list (pair string int)) "no root, no judgement" [] (reach_findings report)
+
+let test_reach_allow () =
+  let directive reason = "(* analysis: allow test-only" ^ reason ^ " *)\n" in
+  let with_directive reason =
+    Str.global_replace (Str.regexp_string "let tested x = x - 1")
+      (directive reason ^ "let tested x = x - 1") lib_src
+  in
+  let allowed = reach_report ~lib:(with_directive " \xe2\x80\x94 observation point for tests") () in
+  check (list (pair string int)) "a reasoned allow silences test-only"
+    [ ("unreachable", 1); ("unreachable", 3); ("unreachable", 5) ]
+    (reach_findings allowed);
+  let bare = reach_report ~lib:(with_directive "") () in
+  check bool "an allow without a reason suppresses nothing" true
+    (List.mem ("test-only", 8) (reach_findings bare));
+  check bool "and is itself reported" true (fired "suppression-missing-reason" bare)
 
 (* ---------- Suppressions ---------- *)
 
@@ -285,6 +398,15 @@ let suites =
       [
         test_case "canary mutations detected" `Quick test_canaries_detected;
         test_case "enough canaries" `Quick test_canary_count;
+      ] );
+    ( "analysis.callgraph",
+      [ test_case "nested-module sibling calls resolve" `Quick test_nested_sibling_call_resolved ] );
+    ( "analysis.reachability",
+      [
+        test_case "reports dead, transitively dead and test-only only" `Quick
+          test_reach_reported;
+        test_case "no root, no findings" `Quick test_reach_without_roots;
+        test_case "allow needs a reason" `Quick test_reach_allow;
       ] );
     ( "analysis.suppressions",
       [

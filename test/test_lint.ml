@@ -14,7 +14,7 @@ module Json = Concilium_util.Json
 let layers = "util\nbin test\n"
 
 let analyze ?(dunes = []) files =
-  (Driver.analyze_sources ~layers_path:"analysis/layers.txt" ~layers_text:layers ~dunes ~files)
+  (Driver.analyze_sources ~layers_path:"analysis/layers.txt" ~layers_text:layers ~dunes ~files ())
     .Driver.r_findings
 
 (* The findings reported against one fixture file. *)
@@ -307,7 +307,15 @@ let test_catalog_covers_families () =
       (List.map (fun (_, family, _) -> Rules.family_to_string family) Rules.catalog)
   in
   check (list string) "every family represented"
-    [ "determinism"; "hygiene"; "layering"; "partiality"; "polymorphic-compare"; "pool-safety" ]
+    [
+      "determinism";
+      "hygiene";
+      "layering";
+      "partiality";
+      "polymorphic-compare";
+      "pool-safety";
+      "reachability";
+    ]
     families
 
 let suites =

@@ -80,10 +80,10 @@ let test_link_state_transitions () =
   check Alcotest.int "idempotent set_bad" 1 (Link_state.bad_count s);
   check (Alcotest.float 1e-9) "bad loss" 0.9 (Link_state.loss_rate s 2);
   check (Alcotest.float 1e-9) "good loss" 0.01 (Link_state.loss_rate s 0);
-  check Alcotest.bool "path check" false (Link_state.path_is_good s [| 0; 2 |]);
+  check Alcotest.bool "link is bad" true (Link_state.is_bad s 2);
   Link_state.set_good s 2;
   check Alcotest.int "repaired" 0 (Link_state.bad_count s);
-  check Alcotest.bool "path good" true (Link_state.path_is_good s [| 0; 2 |])
+  check Alcotest.bool "link good" false (Link_state.is_bad s 2)
 
 (* ---------- Link_history ---------- *)
 

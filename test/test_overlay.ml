@@ -462,15 +462,13 @@ let test_chord_secure_fingers_are_first_successors () =
 let test_chord_occupancy_model_tracks_mc () =
   let rng = Prng.of_seed 148L in
   let n = 700 in
-  let model_mean =
-    Chord.Model.expected_occupancy ~n /. float_of_int Chord.finger_count
-  in
+  let expected = (Chord.Model.occupancy_model ~n).Poisson_binomial.mu_phi in
+  let model_mean = expected /. float_of_int Chord.finger_count in
   let samples = Chord.Model.monte_carlo_occupancy ~rng ~n ~trials:20 in
   let mc_mean = Array.fold_left ( +. ) 0. samples /. 20. in
   check (Alcotest.float 0.012) "model ~ MC" model_mean mc_mean;
   (* Expected distinct intervals is ~log2 N. *)
-  check (Alcotest.float 2.) "~log2 N" (log (float_of_int n) /. log 2.)
-    (Chord.Model.expected_occupancy ~n)
+  check (Alcotest.float 2.) "~log2 N" (log (float_of_int n) /. log 2.) expected
 
 
 (* ---------- Secure routing ---------- *)
@@ -586,11 +584,15 @@ let alive_pairs ring =
   done;
   Array.of_list !acc
 
+let ring_of_ids ids =
+  let sorted = Array.copy ids in
+  Array.sort Id.compare sorted;
+  Ring.of_sorted_ids sorted
+
 (* Byte-equivalence of the maintained table against the oracle over the
    current alive membership, for every owner (dead ones included) and every
    slot — materialised rows and on-demand deep rows alike. *)
-let assert_tables_match tbl context =
-  let ring = Inc_table.ring tbl in
+let assert_tables_match ~ring tbl context =
   let sorted = alive_pairs ring in
   for owner = 0 to Ring.size ring - 1 do
     let oracle = Table_oracle.build_secure ~owner:(Ring.id ring owner) ~sorted in
@@ -634,9 +636,9 @@ let prop_incremental_matches_oracle =
     QCheck.(pair (int_range 4 28) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Prng.of_seed (Int64.of_int (77 + seed)) in
-      let ring = Ring.of_ids (distinct_ids ~rng n) in
+      let ring = ring_of_ids (distinct_ids ~rng n) in
       let tbl = Inc_table.build ring in
-      assert_tables_match tbl "initial build";
+      assert_tables_match ~ring tbl "initial build";
       let schedule = chaos_churn_schedule ~seed:(Int64.of_int (13 + seed)) ~nodes:n ~horizon:900. in
       let applied = ref 0 in
       List.iter
@@ -660,7 +662,7 @@ let prop_incremental_matches_oracle =
           in
           if acted then begin
             incr applied;
-            assert_tables_match tbl (Printf.sprintf "after event %d" !applied)
+            assert_tables_match ~ring tbl (Printf.sprintf "after event %d" !applied)
           end)
         schedule;
       (* The materialised rows must also agree with the from-scratch path. *)
@@ -680,7 +682,7 @@ let prop_parallel_build_matches_sequential =
     (fun (n, seed) ->
       let make_ring () =
         let rng = Prng.of_seed (Int64.of_int (6100 + seed)) in
-        let ring = Ring.of_ids (distinct_ids ~rng n) in
+        let ring = ring_of_ids (distinct_ids ~rng n) in
         let kill = Prng.of_seed (Int64.of_int (6200 + seed)) in
         for _ = 1 to n / 5 do
           let v = Prng.int kill n in
@@ -701,7 +703,7 @@ let prop_parallel_build_matches_sequential =
    owners included — exactly as a fresh sweep-build over the new alive set
    would. [kill] marks the positions dead before building. *)
 let build_table ids ~kill =
-  let ring = Ring.of_ids ids in
+  let ring = ring_of_ids ids in
   List.iter (Ring.set_dead ring) kill;
   Inc_table.build ~rows:Id.digits ring
 
@@ -740,7 +742,7 @@ let prop_flat_pastry_routes_to_root =
     (fun (seed, churn_seed) ->
       let rng = Prng.of_seed (Int64.of_int (3000 + seed)) in
       let n = 600 in
-      let ring = Ring.of_ids (distinct_ids ~rng n) in
+      let ring = ring_of_ids (distinct_ids ~rng n) in
       let tbl = Inc_table.build ring in
       (* Kill a handful of nodes through the incremental path first. *)
       let churn_rng = Prng.of_seed (Int64.of_int (4000 + churn_seed)) in
@@ -766,7 +768,7 @@ let prop_flat_chord_routes_to_owner =
     QCheck.(pair (int_bound 1000) (int_range 64 800))
     (fun (seed, n) ->
       let rng = Prng.of_seed (Int64.of_int (5000 + seed)) in
-      let ring = Ring.of_ids (distinct_ids ~rng n) in
+      let ring = ring_of_ids (distinct_ids ~rng n) in
       (* Random dead minority. *)
       for _ = 1 to n / 5 do
         let v = Prng.int rng n in

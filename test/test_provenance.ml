@@ -69,7 +69,7 @@ let sample_graph () =
   let g = Graph.create () in
   Graph.set_param g "guilt_threshold" 0.4;
   let p = Graph.probe g ~prober:1 ~link:2 ~time:3.5 ~up:false ~tapped:false ~forged:true in
-  let c = Graph.consolidation g ~link:2 ~up:false ~up_votes:1 ~down_votes:2 in
+  let c = Graph.accusation g ~accuser:1 ~accused:2 ~blame:0.5 ~time:3.5 in
   Graph.edge g ~parent:c ~child:p;
   let f = Graph.failover g ~kind:Graph.Steward ~node:9 ~time:7. in
   let t = Graph.tap_firing g ~kind:Graph.Forced_drop ~node:4 ~time:6. in
@@ -83,7 +83,7 @@ let test_jsonl_stable_and_tap_streams_everything () =
   Graph.set_tap g (fun line -> streamed := line :: !streamed);
   Graph.set_param g "guilt_threshold" 0.4;
   let p = Graph.probe g ~prober:1 ~link:2 ~time:3.5 ~up:false ~tapped:false ~forged:true in
-  let c = Graph.consolidation g ~link:2 ~up:false ~up_votes:1 ~down_votes:2 in
+  let c = Graph.accusation g ~accuser:1 ~accused:2 ~blame:0.5 ~time:3.5 in
   Graph.edge g ~parent:c ~child:p;
   check Alcotest.int "one line per param, node and edge" 4 (List.length !streamed);
   (* The streamed node lines are exactly the node_line renderings, and the

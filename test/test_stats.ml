@@ -33,8 +33,7 @@ let test_erf () =
   checkf 1e-6 "erf(0)" 0. (Special.erf 0.);
   checkf 1e-6 "erf(1)" 0.8427008 (Special.erf 1.);
   checkf 1e-6 "erf(-1)" (-0.8427008) (Special.erf (-1.));
-  checkf 1e-6 "erf(2)" 0.9953223 (Special.erf 2.);
-  checkf 1e-6 "erfc(1)" 0.1572992 (Special.erfc 1.)
+  checkf 1e-6 "erf(2)" 0.9953223 (Special.erf 2.)
 
 (* ---------- Normal ---------- *)
 
@@ -48,10 +47,6 @@ let test_normal_quantile_inverts_cdf () =
   List.iter
     (fun p -> checkf 1e-4 "roundtrip" p (Normal.standard_cdf (Normal.standard_quantile p)))
     [ 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
-
-let test_normal_pdf () =
-  checkf 1e-7 "pdf(0)" 0.3989423 (Normal.pdf ~mu:0. ~sigma:1. 0.);
-  checkf 1e-7 "pdf symmetric" (Normal.pdf ~mu:0. ~sigma:1. 1.) (Normal.pdf ~mu:0. ~sigma:1. (-1.))
 
 (* ---------- Binomial ---------- *)
 
@@ -100,11 +95,6 @@ let test_beta_mean_gamma_path () =
   done;
   checkf 0.01 "mean" (2.5 /. 7.5) (!total /. float_of_int n)
 
-let test_beta_pdf () =
-  (* Beta(2,2): pdf(x) = 6x(1-x). *)
-  checkf 1e-9 "pdf at 0.5" 1.5 (Beta.pdf ~alpha:2. ~beta:2. 0.5);
-  checkf 1e-9 "pdf outside" 0. (Beta.pdf ~alpha:2. ~beta:2. 1.5)
-
 (* ---------- Poisson binomial ---------- *)
 
 let test_poisson_binomial_homogeneous_matches_binomial () =
@@ -149,21 +139,6 @@ let test_descriptive_summary () =
   checkf 1e-9 "min" 2. s.Descriptive.minimum;
   checkf 1e-9 "max" 9. s.Descriptive.maximum
 
-let test_descriptive_quantile () =
-  let samples = [| 1.; 2.; 3.; 4.; 5. |] in
-  checkf 1e-9 "median" 3. (Descriptive.quantile samples 0.5);
-  checkf 1e-9 "q0" 1. (Descriptive.quantile samples 0.);
-  checkf 1e-9 "q1" 5. (Descriptive.quantile samples 1.);
-  checkf 1e-9 "q0.25" 2. (Descriptive.quantile samples 0.25)
-
-let test_online_matches_batch () =
-  let samples = [| 3.1; -2.; 0.5; 8.; 4.4; -1.1 |] in
-  let online = Descriptive.Online.create () in
-  Array.iter (Descriptive.Online.add online) samples;
-  let batch = Descriptive.summarize samples in
-  checkf 1e-9 "mean" batch.Descriptive.mean (Descriptive.Online.mean online);
-  checkf 1e-9 "variance" batch.Descriptive.variance (Descriptive.Online.variance online)
-
 (* ---------- Histogram ---------- *)
 
 let test_histogram_binning () =
@@ -175,26 +150,11 @@ let test_histogram_binning () =
   let integral = Array.fold_left (fun acc d -> acc +. (d *. 0.25)) 0. pdf in
   checkf 1e-9 "pdf integrates to 1" 1. integral
 
-let test_histogram_fraction_at_least () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:10 in
-  List.iter (Histogram.add h) [ 0.05; 0.15; 0.55; 0.95 ];
-  checkf 1e-9 "fraction >= 0.5" 0.5 (Histogram.fraction_at_least h 0.5)
-
 (* ---------- Hypothesis ---------- *)
-
-let test_two_proportion_z () =
-  let z = Hypothesis.two_proportion_z ~successes1:80 ~trials1:100 ~successes2:50 ~trials2:100 in
-  check Alcotest.bool "sign" true (z > 0.);
-  (* pooled p = 0.65, se = sqrt(0.65*0.35*0.02), z = 0.3/se. *)
-  checkf 0.01 "magnitude" 4.4475 z;
-  checkf 1e-9 "identical proportions" 0.
-    (Hypothesis.two_proportion_z ~successes1:50 ~trials1:100 ~successes2:50 ~trials2:100)
 
 let test_one_proportion_z () =
   let z = Hypothesis.one_proportion_z ~successes:30 ~trials:100 ~p0:0.5 in
-  checkf 0.001 "z" (-4.) z;
-  let p = Hypothesis.one_proportion_p_value_upper ~successes:70 ~trials:100 ~p0:0.5 in
-  check Alcotest.bool "significant" true (p < 0.01)
+  checkf 0.001 "z" (-4.) z
 
 let suites =
   [
@@ -208,7 +168,6 @@ let suites =
       [
         Alcotest.test_case "cdf values" `Quick test_normal_cdf;
         Alcotest.test_case "quantile inverts cdf" `Quick test_normal_quantile_inverts_cdf;
-        Alcotest.test_case "pdf" `Quick test_normal_pdf;
       ] );
     ( "stats.binomial",
       [
@@ -220,7 +179,6 @@ let suites =
       [
         Alcotest.test_case "Johnk sampler mean (paper's shape)" `Quick test_beta_mean_johnk;
         Alcotest.test_case "gamma-path sampler mean" `Quick test_beta_mean_gamma_path;
-        Alcotest.test_case "pdf" `Quick test_beta_pdf;
       ] );
     ( "stats.poisson_binomial",
       [
@@ -233,17 +191,13 @@ let suites =
     ( "stats.descriptive",
       [
         Alcotest.test_case "summary" `Quick test_descriptive_summary;
-        Alcotest.test_case "quantiles" `Quick test_descriptive_quantile;
-        Alcotest.test_case "online matches batch" `Quick test_online_matches_batch;
       ] );
     ( "stats.histogram",
       [
         Alcotest.test_case "binning and pdf" `Quick test_histogram_binning;
-        Alcotest.test_case "fraction_at_least" `Quick test_histogram_fraction_at_least;
       ] );
     ( "stats.hypothesis",
       [
-        Alcotest.test_case "two-proportion z" `Quick test_two_proportion_z;
         Alcotest.test_case "one-proportion z" `Quick test_one_proportion_z;
       ] );
   ]

@@ -22,7 +22,6 @@ let test_graph_basic () =
   check Alcotest.int "nodes" 4 (Graph.node_count g);
   check Alcotest.int "links" 4 (Graph.link_count g);
   check Alcotest.int "degree 0" 2 (Graph.degree g 0);
-  check (Alcotest.float 1e-9) "mean degree" 2. (Graph.mean_degree g);
   check Alcotest.bool "connected" true (Graph.is_connected g)
 
 let test_graph_dedup_and_self_loops () =
@@ -30,9 +29,8 @@ let test_graph_dedup_and_self_loops () =
   Graph.Builder.add_link b 0 1;
   Graph.Builder.add_link b 1 0;
   Graph.Builder.add_link b 2 2;
-  check Alcotest.int "deduped" 1 (Graph.Builder.link_count b);
   let g = Graph.build b in
-  check Alcotest.int "one link" 1 (Graph.link_count g);
+  check Alcotest.int "deduped to one link" 1 (Graph.link_count g);
   check Alcotest.bool "disconnected" false (Graph.is_connected g)
 
 let test_graph_link_lookup () =
